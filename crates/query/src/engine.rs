@@ -32,15 +32,14 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use gyo_reduce::Reduction;
 use gyo_relation::{semijoin_program_with, DbState, ExecScratch, Relation, SemijoinStep};
 use gyo_schema::{AttrSet, Catalog, DbSchema, FxHashMap, RootedTree};
 
-use crate::program::Program;
 use crate::yannakakis::{
-    derive_rooted_tree, full_reduce, full_reducer_program_on_tree, join_up_tree, solve_tree_query,
+    derive_rooted_tree, full_reduce, join_up_tree, reducer_order, solve_tree_query,
 };
 
 /// Why an engine (or any tree-only entry point of this crate) could not
@@ -232,13 +231,11 @@ impl Engine for IncrementalEngine {
 }
 
 /// A compiled full-reducer plan for one tree schema: the rooted join tree
-/// plus the `2·(n−1)` precompiled semijoin steps, with the §6 [`Program`]
-/// form alongside for inspection and notation rendering.
+/// plus the `2·(n−1)` precompiled semijoin steps.
 #[derive(Clone, Debug)]
 pub struct FullReducerPlan {
     rooted: RootedTree,
     steps: Vec<SemijoinStep>,
-    program: Program,
 }
 
 impl FullReducerPlan {
@@ -246,36 +243,17 @@ impl FullReducerPlan {
     /// residue attached) when `d` is cyclic.
     fn compile(d: &DbSchema) -> Result<Self, EngineError> {
         let rooted = derive_rooted_tree(d)?;
-        let mut steps = Vec::new();
-        if d.len() > 1 {
-            let schemas = d.rels();
-            for &v in &rooted.post_order {
-                if v != rooted.root {
-                    steps.push(SemijoinStep::new(schemas, rooted.parent[v], v));
-                }
-            }
-            for &v in rooted.post_order.iter().rev() {
-                if v != rooted.root {
-                    steps.push(SemijoinStep::new(schemas, v, rooted.parent[v]));
-                }
-            }
-        }
-        let program = full_reducer_program_on_tree(d, &rooted);
-        Ok(Self {
-            rooted,
-            steps,
-            program,
-        })
+        let steps = reducer_order(&rooted)
+            .map(|(target, source)| SemijoinStep::new(d.rels(), target, source))
+            .collect();
+        Ok(Self { rooted, steps })
     }
 
-    /// The compiled semijoin steps, upward pass then downward pass.
+    /// The compiled semijoin steps, upward pass then downward pass. The
+    /// §6 [`full_reducer_program`](crate::full_reducer_program) of the same
+    /// schema has one semijoin statement per step, in the same order.
     pub fn steps(&self) -> &[SemijoinStep] {
         &self.steps
-    }
-
-    /// The plan as a §6 semijoin [`Program`] (new-relation semantics).
-    pub fn program(&self) -> &Program {
-        &self.program
     }
 
     /// The rooted join tree the plan reduces along.
@@ -288,29 +266,94 @@ impl FullReducerPlan {
     }
 }
 
+/// The one plan-cache policy of the cached engines: values keyed by a
+/// schema's **exact relation list** (order and multiplicity included), not
+/// [`DbSchema`]'s multiset equality — a plan's step indices refer to
+/// relation positions, so two multiset-equal schemas with different
+/// relation orders get distinct plans. Any change to the schema therefore
+/// misses the cache and compiles afresh; stale plans are unreachable by
+/// construction.
+#[derive(Debug)]
+pub(crate) struct PlanCache<V> {
+    map: Mutex<FxHashMap<Vec<AttrSet>, V>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<V> Default for PlanCache<V> {
+    fn default() -> Self {
+        Self {
+            map: Mutex::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<V: Clone> PlanCache<V> {
+    fn lock(&self) -> MutexGuard<'_, FxHashMap<Vec<AttrSet>, V>> {
+        self.map.lock().expect("plan cache lock")
+    }
+
+    /// The cached value for `d`, counting a hit when present.
+    pub(crate) fn get(&self, d: &DbSchema) -> Option<V> {
+        let value = self.lock().get(d.rels()).cloned();
+        if value.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        value
+    }
+
+    /// The cached value for `d`, or — counting a miss — `compile()`'s,
+    /// cached for next time. The lock is not held while compiling.
+    pub(crate) fn get_or_compile(&self, d: &DbSchema, compile: impl FnOnce() -> V) -> V {
+        if let Some(value) = self.get(d) {
+            return value;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = compile();
+        self.lock().insert(d.rels().to_vec(), value.clone());
+        value
+    }
+
+    /// Number of cached schemas.
+    pub(crate) fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Drops every cached value (the counters keep counting).
+    pub(crate) fn clear(&self) {
+        self.lock().clear();
+    }
+
+    /// `(hits, misses)` since construction.
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> (u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
+    }
+}
+
 /// The cached Yannakakis engine: full-reducer plans compiled once per
 /// schema and reused across calls.
 ///
 /// The cache key is the schema's **exact relation list** (order and
-/// multiplicity included), not [`DbSchema`]'s multiset equality — a plan's
-/// step indices refer to relation positions, so two multiset-equal schemas
-/// with different relation orders get distinct plans. Any change to the
-/// schema therefore misses the cache and compiles afresh; stale plans are
-/// unreachable by construction. Cyclic outcomes are cached too — with the
-/// full [`EngineError`] diagnostic (the stuck residue and its survivor
+/// multiplicity included), not [`DbSchema`]'s multiset equality, so stale
+/// plans are unreachable by construction. Cyclic outcomes are cached too — with the full
+/// [`EngineError`] diagnostic (the stuck residue and its survivor
 /// indices) — so repeatedly querying a cyclic schema costs one lookup, not
 /// one GYO reduction per call, and every repeat reports *which* cycle
 /// blocked it.
 #[derive(Debug, Default)]
 pub struct FullReducerEngine {
-    plans: Mutex<FxHashMap<Vec<AttrSet>, Result<Arc<FullReducerPlan>, EngineError>>>,
+    plans: PlanCache<Result<Arc<FullReducerPlan>, EngineError>>,
     /// Reusable selection-vector execution state: after the first reduction
     /// at a given shape, program steps run with zero heap allocation (the
     /// `crates/relation/tests/alloc.rs` counter pins this down). Contended
     /// callers fall back to a per-call scratch rather than serialize.
     scratch: Mutex<ExecScratch>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl FullReducerEngine {
@@ -323,39 +366,27 @@ impl FullReducerEngine {
     /// [`EngineError::Cyclic`] when `d` is cyclic — this negative outcome
     /// is cached as well, diagnostic included.
     pub fn plan(&self, d: &DbSchema) -> Result<Arc<FullReducerPlan>, EngineError> {
-        if let Some(cached) = self.plans.lock().expect("plan cache lock").get(d.rels()) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return cached.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = FullReducerPlan::compile(d).map(Arc::new);
         self.plans
-            .lock()
-            .expect("plan cache lock")
-            .insert(d.rels().to_vec(), plan.clone());
-        plan
+            .get_or_compile(d, || FullReducerPlan::compile(d).map(Arc::new))
     }
 
     /// Drops every cached plan (the cache never *needs* manual
     /// invalidation — keys are schema identities — but long-lived engines
     /// can reclaim memory).
     pub fn clear_cache(&self) {
-        self.plans.lock().expect("plan cache lock").clear();
+        self.plans.clear();
     }
 
     /// Number of schemas with a cached outcome (including cached cyclic
     /// verdicts).
     pub fn cached_plan_count(&self) -> usize {
-        self.plans.lock().expect("plan cache lock").len()
+        self.plans.len()
     }
 
     /// `(hits, misses)` of the plan cache since construction.
     #[cfg(test)]
     pub(crate) fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        self.plans.stats()
     }
 
     /// Runs a compiled semijoin program over `rels` through the engine's
@@ -392,13 +423,6 @@ impl FullReducerEngine {
         x: &AttrSet,
         plan: &FullReducerPlan,
     ) -> Relation {
-        if d.is_empty() {
-            return if x.is_empty() {
-                Relation::identity()
-            } else {
-                Relation::empty(x.clone())
-            };
-        }
         let reduced = self.reduce_with_plan(d, state, plan);
         join_up_tree(d, &reduced, x, plan.rooted())
     }
@@ -438,6 +462,7 @@ pub fn standard_engines() -> Vec<Box<dyn Engine + Send + Sync>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::Statement;
     use gyo_schema::Catalog;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -579,36 +604,55 @@ mod tests {
 
     #[test]
     fn cached_plan_has_2n_minus_2_steps_and_matches_program() {
-        let mut cat = Catalog::alphabetic();
-        let d = db("ab, bc, cd, de", &mut cat);
+        // On a chain, a star and a random tree, each §6 statement
+        // `Semijoin { left, right }`, mapped back to the join-tree nodes
+        // whose versions it reads, is the plan's step at the same position.
+        let mut rng = StdRng::seed_from_u64(0x5E);
         let e = FullReducerEngine::new();
-        let plan = e.plan(&d).unwrap();
-        assert_eq!(plan.steps().len(), 2 * (4 - 1));
-        assert_eq!(plan.program().len(), 2 * (4 - 1));
-        assert_eq!(
-            plan.program(),
-            &crate::yannakakis::full_reducer_program(&d).unwrap()
-        );
+        for d in [
+            gyo_workloads::chain(5),
+            gyo_workloads::star(5),
+            gyo_workloads::random_tree_schema(&mut rng, 9, 12, 0.5),
+        ] {
+            let plan = e.plan(&d).unwrap();
+            let program = crate::yannakakis::full_reducer_program(&d).unwrap();
+            assert_eq!(plan.steps().len(), 2 * (d.len() - 1));
+            assert_eq!(program.len(), plan.steps().len());
+            // node[r] = the join-tree node whose state program relation r holds
+            let mut node: Vec<usize> = (0..d.len()).collect();
+            for (stmt, step) in program.statements().iter().zip(plan.steps()) {
+                let Statement::Semijoin { left, right } = *stmt else {
+                    panic!("a full reducer has only semijoins");
+                };
+                assert_eq!((node[left], node[right]), (step.target(), step.source()));
+                node.push(node[left]);
+            }
+        }
     }
 
     #[test]
     fn single_and_empty_schemas() {
         let mut cat = Catalog::alphabetic();
-        let e = FullReducerEngine::new();
         let d1 = db("abc", &mut cat);
         let state = random_state(&d1, 3, 8, 3);
         let x = AttrSet::parse("ac", &mut cat).unwrap();
-        assert_eq!(
-            e.answer(&d1, &state, &x).unwrap(),
-            state.eval_join_query(&x)
-        );
         let d0 = DbSchema::empty();
         let empty_state = DbState::new(&d0, vec![]);
-        assert_eq!(
-            e.answer(&d0, &empty_state, &AttrSet::empty()).unwrap(),
-            Relation::identity()
-        );
-        assert!(e.reduce(&d0, &empty_state).unwrap().is_empty());
+        for e in standard_engines() {
+            let name = e.name();
+            assert_eq!(e.reduce(&d1, &state).unwrap(), state, "{name}");
+            assert_eq!(
+                e.answer(&d1, &state, &x).unwrap(),
+                state.eval_join_query(&x),
+                "{name}"
+            );
+            assert!(e.reduce(&d0, &empty_state).unwrap().is_empty(), "{name}");
+            assert_eq!(
+                e.answer(&d0, &empty_state, &AttrSet::empty()).unwrap(),
+                Relation::identity(),
+                "{name}"
+            );
+        }
     }
 
     #[test]

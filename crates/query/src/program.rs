@@ -10,7 +10,7 @@
 //! statement materializes, through the columnar operator kernels); the
 //! overwrite-in-place reading of all-semijoin programs — where no
 //! intermediate materializes at all — is
-//! [`gyo_relation::semijoin_program`], which the cached full-reducer
+//! [`gyo_relation::semijoin_program_with`], which the cached full-reducer
 //! engine executes over reusable selection vectors.
 
 use gyo_relation::{DbState, Relation};
@@ -161,18 +161,7 @@ impl Program {
     ///
     /// Panics if `state` does not match the base schema.
     pub fn execute(&self, state: &DbState) -> Vec<Relation> {
-        assert_eq!(state.len(), self.base.len(), "state/schema mismatch");
-        let mut rels: Vec<Relation> = state.rels().to_vec();
-        rels.reserve(self.stmts.len());
-        for stmt in &self.stmts {
-            let next = match stmt {
-                Statement::Join { left, right } => rels[*left].natural_join(&rels[*right]),
-                Statement::Project { src, onto } => rels[*src].project(onto),
-                Statement::Semijoin { left, right } => rels[*left].semijoin(&rels[*right]),
-            };
-            rels.push(next);
-        }
-        rels
+        self.execute_with_stats(state).0
     }
 
     /// Executes with per-statement cost accounting: tuple counts of the

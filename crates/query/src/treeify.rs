@@ -51,7 +51,7 @@
 //! }
 //! ```
 
-use gyo_reduce::{gyo_reduce, treeifying_relation};
+use gyo_reduce::gyo_reduce;
 use gyo_relation::{DbState, Relation};
 use gyo_schema::{AttrSet, DbSchema};
 
@@ -74,29 +74,8 @@ pub fn solve_via_treeification(d: &DbSchema, state: &DbState, x: &AttrSet) -> Re
         x.is_subset(&d.attributes()),
         "target X must be a subset of U(D)"
     );
-    let red = gyo_reduce(d, &AttrSet::empty());
-    if red.is_total() {
-        return solve_tree_query(d, state, x).expect("total reduction ⟹ tree schema");
-    }
-    let w = treeifying_relation(d);
-    debug_assert_eq!(w, red.result.attributes());
-
-    // Materialize state(W) by joining the survivors' original relations.
-    let mut acc = Relation::identity();
-    for &i in &red.survivors {
-        acc = acc.natural_join(state.rel(i));
-        // early projection: only W-attributes (plus nothing else) matter,
-        // but attributes needed to join later survivors must be kept; since
-        // survivors' attributes ⊆ ... keep everything within U(survivors),
-        // projecting onto W once at the end.
-    }
-    let w_state = acc.project(&w);
-
-    let extended_schema = d.with_rel(w.clone());
-    let mut rels: Vec<Relation> = state.rels().to_vec();
-    rels.push(w_state);
-    let extended_state = DbState::new(&extended_schema, rels);
-    solve_tree_query(&extended_schema, &extended_state, x)
+    let (tree, tree_state) = treeify(d, state);
+    solve_tree_query(&tree, &tree_state, x)
         .expect("Theorem 3.2(ii): D ∪ (U(GR(D))) is a tree schema")
 }
 
@@ -116,24 +95,31 @@ pub fn solve_via_treeification(d: &DbSchema, state: &DbState, x: &AttrSet) -> Re
 ///
 /// Panics if the state does not match `d`.
 pub fn reduce_via_treeification(d: &DbSchema, state: &DbState) -> DbState {
+    let (tree, tree_state) = treeify(d, state);
+    let reduced =
+        full_reduce(&tree, &tree_state).expect("Theorem 3.2(ii): D ∪ (U(GR(D))) is a tree schema");
+    DbState::new(d, reduced.rels()[..d.len()].to_vec())
+}
+
+/// The tree schema both solvers run on, with its state: `D ∪ (W)` and
+/// `state ∪ (state(W))` for a cyclic `D`, where `W = U(GR(D))` and
+/// `state(W) = π_W(⋈ of the survivors' states)`; `D` and `state` unchanged
+/// for a tree schema.
+fn treeify(d: &DbSchema, state: &DbState) -> (DbSchema, DbState) {
     let red = gyo_reduce(d, &AttrSet::empty());
     if red.is_total() {
-        return full_reduce(d, state).expect("total reduction ⟹ tree schema");
+        return (d.clone(), state.clone());
     }
     let w = red.result.attributes();
     let mut acc = Relation::identity();
     for &i in &red.survivors {
         acc = acc.natural_join(state.rel(i));
     }
-    let w_state = acc.project(&w);
-
-    let extended_schema = d.with_rel(w.clone());
-    let mut rels: Vec<Relation> = state.rels().to_vec();
-    rels.push(w_state);
-    let extended_state = DbState::new(&extended_schema, rels);
-    let reduced = full_reduce(&extended_schema, &extended_state)
-        .expect("Theorem 3.2(ii): D ∪ (U(GR(D))) is a tree schema");
-    DbState::new(d, reduced.rels()[..d.len()].to_vec())
+    let mut rels = state.rels().to_vec();
+    rels.push(acc.project(&w));
+    let tree = d.with_rel(w);
+    let tree_state = DbState::new(&tree, rels);
+    (tree, tree_state)
 }
 
 #[cfg(test)]

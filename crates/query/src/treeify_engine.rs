@@ -69,13 +69,12 @@
 //! assert_eq!(engine.cached_treeified_count(), 1);
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use gyo_relation::{DbState, Relation};
-use gyo_schema::{AttrSet, DbSchema, FxHashMap};
+use gyo_schema::{AttrSet, DbSchema};
 
-use crate::engine::{Engine, EngineError, FullReducerEngine, FullReducerPlan};
+use crate::engine::{Engine, EngineError, FullReducerEngine, FullReducerPlan, PlanCache};
 use crate::yannakakis::join_up_tree;
 
 /// A compiled treeification plan for one **cyclic** schema: everything
@@ -182,9 +181,14 @@ fn connected_order(d: &DbSchema, survivors: &[usize]) -> Vec<usize> {
 #[derive(Debug, Default)]
 pub struct TreeifyEngine {
     inner: FullReducerEngine,
-    treeified: Mutex<FxHashMap<Vec<AttrSet>, Arc<TreeifyPlan>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    treeified: PlanCache<Arc<TreeifyPlan>>,
+}
+
+/// Which plan serves a schema: its own full-reducer plan, or the treeified
+/// plan of a cyclic schema.
+enum Route {
+    Tree(Arc<FullReducerPlan>),
+    Cyclic(Arc<TreeifyPlan>),
 }
 
 impl TreeifyEngine {
@@ -200,83 +204,42 @@ impl TreeifyEngine {
         &self.inner
     }
 
-    /// The cached treeify plan for `d`, counting a hit when present. The
-    /// engine probes this **before** the inner plan cache, so warm cyclic
-    /// calls never touch (or clone) the cached `EngineError` verdict.
-    fn lookup_treeified(&self, d: &DbSchema) -> Option<Arc<TreeifyPlan>> {
-        let plan = self
-            .treeified
-            .lock()
-            .expect("treeified plan cache lock")
-            .get(d.rels())
-            .cloned();
-        if plan.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        plan
-    }
-
     /// The cached treeify plan for a schema already known to be cyclic,
     /// compiling on first sight. `err` must be the cyclic verdict the
     /// inner engine produced for `d` — its residue drives the compilation.
     pub fn treeified_plan(&self, d: &DbSchema, err: &EngineError) -> Arc<TreeifyPlan> {
-        if let Some(plan) = self.lookup_treeified(d) {
-            return plan;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(TreeifyPlan::compile(d, err, &self.inner));
         self.treeified
-            .lock()
-            .expect("treeified plan cache lock")
-            .insert(d.rels().to_vec(), plan.clone());
-        plan
+            .get_or_compile(d, || Arc::new(TreeifyPlan::compile(d, err, &self.inner)))
     }
 
-    /// Runs the cyclic-schema pipeline over an already-known plan: the
-    /// core join, the extended plan's semijoin program, truncation back
-    /// to `D`'s relations.
-    fn reduce_cyclic(&self, d: &DbSchema, state: &DbState, plan: &TreeifyPlan) -> DbState {
-        let mut rels = self.reduce_extended(plan, state);
-        rels.truncate(d.len());
-        DbState::new(d, rels)
-    }
-
-    fn answer_cyclic(&self, state: &DbState, x: &AttrSet, plan: &TreeifyPlan) -> Relation {
-        let rels = self.reduce_extended(plan, state);
-        // After full reduction the W slot holds π_W(⋈D); when the target
-        // fits inside W, one projection finishes the query.
-        if x.is_subset(&plan.w) {
-            let w_reduced = rels.last().expect("extended state is nonempty");
-            return w_reduced.project(x);
+    /// The plan that serves `d`, compiling on first sight. The treeified
+    /// cache is probed **before** the inner plan cache, so warm cyclic
+    /// calls never touch (or clone) the cached `EngineError` verdict.
+    fn route(&self, d: &DbSchema) -> Route {
+        if let Some(plan) = self.treeified.get(d) {
+            return Route::Cyclic(plan);
         }
-        let reduced = DbState::new(&plan.extended, rels);
-        join_up_tree(&plan.extended, &reduced, x, plan.inner.rooted())
+        match self.inner.plan(d) {
+            Ok(plan) => Route::Tree(plan),
+            Err(err) => Route::Cyclic(self.treeified_plan(d, &err)),
+        }
     }
 
     /// Number of cyclic schemas with a cached treeified plan.
     pub fn cached_treeified_count(&self) -> usize {
-        self.treeified
-            .lock()
-            .expect("treeified plan cache lock")
-            .len()
+        self.treeified.len()
     }
 
     /// Drops every cached plan, treeified and tree alike.
     pub fn clear_cache(&self) {
-        self.treeified
-            .lock()
-            .expect("treeified plan cache lock")
-            .clear();
+        self.treeified.clear();
         self.inner.clear_cache();
     }
 
     /// `(hits, misses)` of the treeified-plan cache since construction.
     #[cfg(test)]
     pub(crate) fn treeified_cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        self.treeified.stats()
     }
 
     /// `state(W) = π_W(⋈ of the survivors' states)`, joined in the plan's
@@ -319,19 +282,14 @@ impl Engine for TreeifyEngine {
     }
 
     fn reduce(&self, d: &DbSchema, state: &DbState) -> Result<DbState, EngineError> {
-        // Warm cyclic schemas hit the treeified cache directly — the
-        // cached cyclic verdict (and its residue clone) is only touched on
-        // the compile path.
-        if let Some(plan) = self.lookup_treeified(d) {
-            return Ok(self.reduce_cyclic(d, state, &plan));
-        }
-        match self.inner.plan(d) {
-            Ok(plan) => Ok(self.inner.reduce_with_plan(d, state, &plan)),
-            Err(err) => {
-                let plan = self.treeified_plan(d, &err);
-                Ok(self.reduce_cyclic(d, state, &plan))
+        Ok(match self.route(d) {
+            Route::Tree(plan) => self.inner.reduce_with_plan(d, state, &plan),
+            Route::Cyclic(plan) => {
+                let mut rels = self.reduce_extended(&plan, state);
+                rels.truncate(d.len());
+                DbState::new(d, rels)
             }
-        }
+        })
     }
 
     fn answer(&self, d: &DbSchema, state: &DbState, x: &AttrSet) -> Result<Relation, EngineError> {
@@ -339,16 +297,20 @@ impl Engine for TreeifyEngine {
             x.is_subset(&d.attributes()),
             "target X must be a subset of U(D)"
         );
-        if let Some(plan) = self.lookup_treeified(d) {
-            return Ok(self.answer_cyclic(state, x, &plan));
-        }
-        match self.inner.plan(d) {
-            Ok(plan) => Ok(self.inner.answer_with_plan(d, state, x, &plan)),
-            Err(err) => {
-                let plan = self.treeified_plan(d, &err);
-                Ok(self.answer_cyclic(state, x, &plan))
+        Ok(match self.route(d) {
+            Route::Tree(plan) => self.inner.answer_with_plan(d, state, x, &plan),
+            Route::Cyclic(plan) => {
+                let rels = self.reduce_extended(&plan, state);
+                // After full reduction the W slot holds π_W(⋈D); when the
+                // target fits inside W, one projection finishes the query.
+                if x.is_subset(&plan.w) {
+                    rels.last().expect("extended state is nonempty").project(x)
+                } else {
+                    let reduced = DbState::new(&plan.extended, rels);
+                    join_up_tree(&plan.extended, &reduced, x, plan.inner.rooted())
+                }
             }
-        }
+        })
     }
 }
 

@@ -12,12 +12,12 @@
 //! (each semijoin/join/projection runs through `gyo_relation`'s columnar
 //! kernels, but every step materializes its result): this module is the
 //! reference path the cached engine's batched selection-vector executor
-//! ([`gyo_relation::semijoin_program`]) is differentially tested against —
-//! two independent routes to the same reduced states and answers.
+//! ([`gyo_relation::semijoin_program_with`]) is differentially tested
+//! against — two independent routes to the same reduced states and answers.
 
 use gyo_reduce::{gyo_reduce, join_tree_from_trace};
 use gyo_relation::{DbState, Relation};
-use gyo_schema::{AttrSet, DbSchema, JoinTree, RootedTree};
+use gyo_schema::{AttrSet, DbSchema, RootedTree};
 
 use crate::engine::EngineError;
 use crate::program::Program;
@@ -33,10 +33,26 @@ use crate::program::Program;
 /// most recent versions.
 pub fn full_reducer_program(d: &DbSchema) -> Result<Program, EngineError> {
     let rooted = derive_rooted_tree(d)?;
-    if d.len() <= 1 {
-        return Ok(Program::new(d.clone()));
+    let mut p = Program::new(d.clone());
+    // current[v] = latest program relation holding node v's state
+    let mut current: Vec<usize> = (0..d.len()).collect();
+    for (target, source) in reducer_order(&rooted) {
+        current[target] = p.semijoin(current[target], current[source]);
     }
-    Ok(full_reducer_program_on_tree(d, &rooted))
+    Ok(p)
+}
+
+/// The full reducer's step order along a rooted join tree, as
+/// `(target, source)` pairs meaning `target := target ⋉ source`: child→
+/// parent in post-order (the upward pass), then parent→child in reverse
+/// (the downward pass) — `2·(n−1)` steps, none for one node or none. The
+/// compiled [`FullReducerPlan`](crate::FullReducerPlan), the §6
+/// [`full_reducer_program`] and the per-call [`full_reduce`] all walk it.
+pub(crate) fn reducer_order(rooted: &RootedTree) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let children = rooted.post_order.iter().filter(|&&v| v != rooted.root);
+    let up = children.clone().map(|&v| (rooted.parent[v], v));
+    let down = children.rev().map(|&v| (v, rooted.parent[v]));
+    up.chain(down)
 }
 
 /// Runs the GYO reduction and roots the derived join tree at node 0; the
@@ -59,30 +75,6 @@ pub(crate) fn derive_rooted_tree(d: &DbSchema) -> Result<RootedTree, EngineError
     })
 }
 
-/// The full-reducer [`Program`] along an already-rooted join tree.
-pub(crate) fn full_reducer_program_on_tree(d: &DbSchema, rooted: &RootedTree) -> Program {
-    let mut p = Program::new(d.clone());
-    // current[v] = latest program relation holding node v's state
-    let mut current: Vec<usize> = (0..d.len()).collect();
-    // Upward pass: children before parents.
-    for &v in &rooted.post_order {
-        if v == rooted.root {
-            continue;
-        }
-        let parent = rooted.parent[v];
-        current[parent] = p.semijoin(current[parent], current[v]);
-    }
-    // Downward pass: parents before children.
-    for &v in rooted.post_order.iter().rev() {
-        if v == rooted.root {
-            continue;
-        }
-        let parent = rooted.parent[v];
-        current[v] = p.semijoin(current[v], current[parent]);
-    }
-    p
-}
-
 /// Fully reduces a state over a tree schema in place-ish (returns the
 /// reduced state): after this, `state[i] = π_{Rᵢ}(⋈ D)` for every `i`.
 /// Returns [`EngineError::Cyclic`] when `d` is cyclic.
@@ -91,31 +83,11 @@ pub fn full_reduce(d: &DbSchema, state: &DbState) -> Result<DbState, EngineError
     Ok(full_reduce_on_rooted(d, state, &rooted))
 }
 
-/// Full reduction along a given join tree.
-pub fn full_reduce_on_tree(d: &DbSchema, state: &DbState, tree: &JoinTree) -> DbState {
-    if d.len() > 1 {
-        full_reduce_on_rooted(d, state, &tree.rooted_at(0))
-    } else {
-        DbState::new(d, state.rels().to_vec())
-    }
-}
-
 /// Full reduction along an already-rooted join tree.
 fn full_reduce_on_rooted(d: &DbSchema, state: &DbState, rooted: &RootedTree) -> DbState {
     let mut rels: Vec<Relation> = state.rels().to_vec();
-    if d.len() > 1 {
-        for &v in &rooted.post_order {
-            if v != rooted.root {
-                let parent = rooted.parent[v];
-                rels[parent] = rels[parent].semijoin(&rels[v]);
-            }
-        }
-        for &v in rooted.post_order.iter().rev() {
-            if v != rooted.root {
-                let parent = rooted.parent[v];
-                rels[v] = rels[v].semijoin(&rels[parent]);
-            }
-        }
+    for (target, source) in reducer_order(rooted) {
+        rels[target] = rels[target].semijoin(&rels[source]);
     }
     DbState::new(d, rels)
 }
@@ -138,13 +110,6 @@ pub fn solve_tree_query(
         "target X must be a subset of U(D)"
     );
     let rooted = derive_rooted_tree(d)?;
-    if d.is_empty() {
-        return Ok(if x.is_empty() {
-            Relation::identity()
-        } else {
-            Relation::empty(x.clone())
-        });
-    }
     let reduced = full_reduce_on_rooted(d, state, &rooted);
     Ok(join_up_tree(d, &reduced, x, &rooted))
 }
@@ -158,6 +123,10 @@ pub(crate) fn join_up_tree(
     x: &AttrSet,
     rooted: &RootedTree,
 ) -> Relation {
+    if d.is_empty() {
+        // The join of no relations is {()}, and X ⊆ U(∅) = ∅.
+        return Relation::identity();
+    }
     // subtree_x[v] = attributes of X present in the subtree rooted at v
     // (used to prune columns as joins climb toward the root).
     let n = d.len();
@@ -211,6 +180,44 @@ mod tests {
         let d = db("ab, bc, cd, de", &mut cat);
         let p = full_reducer_program(&d).expect("chain");
         assert_eq!(p.len(), 2 * (4 - 1));
+    }
+
+    #[test]
+    fn reducer_order_is_up_then_down() {
+        // Upward: each non-root node once, as the source of a step into its
+        // parent, after every step out of its own children. Downward: the
+        // upward pass reversed, parent into child.
+        let mut rng = StdRng::seed_from_u64(80);
+        for d in [
+            gyo_workloads::chain(6),
+            gyo_workloads::star(6),
+            gyo_workloads::random_tree_schema(&mut rng, 10, 14, 0.5),
+        ] {
+            let rooted = derive_rooted_tree(&d).unwrap();
+            let order: Vec<(usize, usize)> = reducer_order(&rooted).collect();
+            let n = d.len();
+            assert_eq!(order.len(), 2 * (n - 1));
+            let (up, down) = order.split_at(n - 1);
+            let mut done = vec![false; n];
+            for &(parent, child) in up {
+                assert!(child != rooted.root && !done[child], "node {child} once");
+                assert_eq!(parent, rooted.parent[child]);
+                assert!(
+                    (0..n)
+                        .filter(|&c| c != rooted.root && rooted.parent[c] == child)
+                        .all(|c| done[c]),
+                    "node {child}'s children go first"
+                );
+                done[child] = true;
+            }
+            let reversed: Vec<(usize, usize)> = up.iter().rev().map(|&(p, c)| (c, p)).collect();
+            assert_eq!(down, reversed.as_slice());
+        }
+        let mut cat = Catalog::alphabetic();
+        for d in [DbSchema::empty(), db("abc", &mut cat)] {
+            let rooted = derive_rooted_tree(&d).unwrap();
+            assert_eq!(reducer_order(&rooted).count(), 0, "one node or none");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! A full-reducer semijoin program applies `2·(n−1)` semijoins whose key
 //! attributes depend only on the relation *schemas*, never on the data.
 //! [`SemijoinStep`] precompiles the shared attribute set once per schema,
-//! and [`semijoin_program`] executes a whole step sequence without
+//! and [`semijoin_program_with`] executes a whole step sequence without
 //! materializing intermediate relations: semijoins only ever *remove*
 //! tuples, so the executor tracks one reusable [`SelVec`] per slot (the
 //! surviving row indices plus a generation-stamped bitset) and runs every
@@ -133,22 +133,15 @@ fn hash_wide(key: &[u64]) -> u64 {
 /// new relation), slots are overwritten — which is exactly the
 /// Bernstein–Chiu reading where each site updates its own state.
 ///
-/// Allocates a fresh [`ExecScratch`] per call; callers that execute
-/// programs repeatedly (the cached full-reducer engine) should hold one
-/// scratch and use [`semijoin_program_with`].
+/// The caller owns the scratch: selection vectors and membership buffers
+/// are reused across calls, making every step allocation-free after the
+/// first run at a given shape. A one-off run passes
+/// `&mut ExecScratch::new()`.
 ///
 /// # Panics
 ///
 /// Panics if a step's indices are out of range; debug builds also check
 /// that each step's compiled key matches the slot schemas.
-pub fn semijoin_program(rels: &mut [Relation], steps: &[SemijoinStep]) {
-    let mut scratch = ExecScratch::new();
-    semijoin_program_with(rels, steps, &mut scratch);
-}
-
-/// [`semijoin_program`] with caller-owned scratch: selection vectors and
-/// membership buffers are reused across calls, making every step
-/// allocation-free after the first run at a given shape.
 pub fn semijoin_program_with(
     rels: &mut [Relation],
     steps: &[SemijoinStep],
@@ -281,6 +274,11 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
 mod tests {
     use super::*;
 
+    /// One program run on a fresh scratch.
+    fn run(rels: &mut [Relation], steps: &[SemijoinStep]) {
+        semijoin_program_with(rels, steps, &mut ExecScratch::new());
+    }
+
     fn attrs(raw: &[u32]) -> AttrSet {
         AttrSet::from_raw(raw)
     }
@@ -315,7 +313,7 @@ mod tests {
             SemijoinStep::new(&schemas, 1, 2),
             SemijoinStep::new(&schemas, 0, 1),
         ];
-        semijoin_program(&mut rels, &steps);
+        run(&mut rels, &steps);
         assert_eq!(rels, expected);
         assert_eq!(rels[0].to_vecs(), vec![vec![1, 10]]);
     }
@@ -340,7 +338,7 @@ mod tests {
             SemijoinStep::new(&schemas, 2, 0), // keep a=1, drop a=3
             SemijoinStep::new(&schemas, 0, 2), // keep only a=1 rows
         ];
-        semijoin_program(&mut rels, &steps);
+        run(&mut rels, &steps);
         assert_eq!(rels[0].to_vecs(), vec![vec![1, 10]]);
         assert_eq!(rels[2].to_vecs(), vec![vec![1]]);
     }
@@ -354,11 +352,11 @@ mod tests {
         ];
         let step = SemijoinStep::new(&schemas, 0, 1);
         assert!(step.key().is_empty());
-        semijoin_program(&mut rels, std::slice::from_ref(&step));
+        run(&mut rels, std::slice::from_ref(&step));
         assert_eq!(rels[0].len(), 1, "disjoint nonempty source keeps tuples");
 
         rels[1] = Relation::empty(attrs(&[5]));
-        semijoin_program(&mut rels, std::slice::from_ref(&step));
+        run(&mut rels, std::slice::from_ref(&step));
         assert!(rels[0].is_empty(), "disjoint empty source annihilates");
     }
 
@@ -373,7 +371,7 @@ mod tests {
             Relation::new(schemas[1].clone(), vec![vec![1, 2, 3, 0], vec![5, 6, 0, 0]]),
         ];
         let expected = rels[0].semijoin(&rels[1]);
-        semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
+        run(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
         assert_eq!(rels[0], expected);
         assert_eq!(rels[0].len(), 1);
     }
@@ -385,7 +383,7 @@ mod tests {
             Relation::empty(schemas[0].clone()),
             Relation::new(schemas[1].clone(), vec![vec![1, 2]]),
         ];
-        semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
+        run(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
         assert!(rels[0].is_empty());
     }
 
@@ -403,7 +401,7 @@ mod tests {
             Relation::new(schemas[1].clone(), vec![vec![huge, 9], vec![0, 9]]),
         ];
         let expected = rels[0].semijoin(&rels[1]);
-        semijoin_program(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
+        run(&mut rels, &[SemijoinStep::new(&schemas, 0, 1)]);
         assert_eq!(rels[0], expected);
         assert_eq!(rels[0].len(), 2);
     }

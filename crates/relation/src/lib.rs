@@ -15,7 +15,7 @@
 //!   `m_D` (the chase for join dependencies), and join-dependency
 //!   satisfaction `I ⊨ ⋈D`;
 //! * [`exec`] — precompiled semijoin steps ([`SemijoinStep`]) and the
-//!   selection-vector [`semijoin_program`] executor used by the cached
+//!   selection-vector [`semijoin_program_with`] executor used by the cached
 //!   full-reducer engine;
 //! * [`kernels`] — the columnar kernel layer: gather projection, chunked
 //!   branchless key-probe kernels over [`SelVec`] selection vectors, the
@@ -50,10 +50,10 @@
 //! programs — runs through reusable [`SelVec`] **selection vectors**
 //! (`u32` survivor indices plus a generation-stamped bitset) probed in
 //! fixed-size chunks with branchless mask accumulation. The
-//! [`semijoin_program`] executor threads one `SelVec` per relation slot
-//! through an entire full-reducer program: no intermediate relation is
-//! materialized and, with a caller-owned [`exec::ExecScratch`]
-//! ([`exec::semijoin_program_with`]), no step allocates after warm-up.
+//! [`semijoin_program_with`] executor threads one `SelVec` per relation
+//! slot through an entire full-reducer program: no intermediate relation is
+//! materialized and, with its caller-owned [`exec::ExecScratch`] kept
+//! across calls, no step allocates after warm-up.
 //!
 //! Row-at-a-time execution remains in exactly the places where a column
 //! decomposition has nothing to offer: hash-*building* (`KeyIndex`
@@ -80,7 +80,7 @@ pub mod relation;
 pub mod universal;
 
 pub use database::DbState;
-pub use exec::{semijoin_program, semijoin_program_with, ExecScratch, SemijoinStep};
+pub use exec::{semijoin_program_with, ExecScratch, SemijoinStep};
 pub use kernels::{ColumnarView, SelVec};
 pub use relation::Relation;
 pub use universal::{join_of_projections, satisfies_jd};

@@ -9,8 +9,8 @@
 use std::collections::BTreeSet;
 
 use gyo_relation::{
-    join_of_projections, satisfies_jd, semijoin_program, semijoin_program_with, DbState,
-    ExecScratch, Relation, SemijoinStep,
+    join_of_projections, satisfies_jd, semijoin_program_with, DbState, ExecScratch, Relation,
+    SemijoinStep,
 };
 use gyo_schema::{AttrSet, DbSchema};
 use proptest::prelude::*;
@@ -300,8 +300,8 @@ proptest! {
         prop_assert_eq!(ra.semijoin(&rb), ra.natural_join(&rb).project(ra.attrs()));
     }
 
-    /// Selection-vector program execution (`semijoin_program`, fresh and
-    /// warm-scratch) agrees with the naive sequence of per-call semijoin
+    /// Selection-vector program execution (`semijoin_program_with`, fresh
+    /// and warm scratch) agrees with the naive sequence of per-call semijoin
     /// operators on random programs over the width-mixed schema pool.
     #[test]
     fn selvec_program_matches_sequential_semijoins(
@@ -331,7 +331,7 @@ proptest! {
             semijoin_program_with(&mut got, &steps, &mut scratch);
             prop_assert_eq!(&warm, &got, "warm-up run and reuse run agree");
         } else {
-            semijoin_program(&mut got, &steps);
+            semijoin_program_with(&mut got, &steps, &mut ExecScratch::new());
         }
         for (k, (g, e)) in got.iter().zip(&expect).enumerate() {
             prop_assert_eq!(g, e, "slot {}", k);
