@@ -32,7 +32,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use gyo_reduce::Reduction;
 use gyo_relation::{semijoin_program_with, DbState, ExecScratch, Relation, SemijoinStep};
@@ -291,8 +291,11 @@ impl<V> Default for PlanCache<V> {
 }
 
 impl<V: Clone> PlanCache<V> {
+    /// Locks the map. Every update is one `insert` or `clear` of immutable
+    /// values, so a caller that panicked while holding the lock cannot
+    /// have left it half-written: a poisoned lock is taken over.
     fn lock(&self) -> MutexGuard<'_, FxHashMap<Vec<AttrSet>, V>> {
-        self.map.lock().expect("plan cache lock")
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The cached value for `d`, counting a hit when present.
@@ -396,9 +399,17 @@ impl FullReducerEngine {
     pub(crate) fn run_steps(&self, rels: &mut [Relation], steps: &[SemijoinStep]) {
         match self.scratch.try_lock() {
             Ok(mut scratch) => semijoin_program_with(rels, steps, &mut scratch),
+            // A run panicked while holding the scratch. Reusing it is sound:
+            // every run resets each slot's selection and every step re-arms
+            // its membership structure before reading it.
+            Err(TryLockError::Poisoned(poisoned)) => {
+                semijoin_program_with(rels, steps, &mut poisoned.into_inner())
+            }
             // Another thread is mid-reduction on this engine: run with a
             // fresh scratch instead of serializing behind the lock.
-            Err(_) => semijoin_program_with(rels, steps, &mut ExecScratch::new()),
+            Err(TryLockError::WouldBlock) => {
+                semijoin_program_with(rels, steps, &mut ExecScratch::new())
+            }
         }
     }
 
@@ -653,6 +664,36 @@ mod tests {
                 "{name}"
             );
         }
+    }
+
+    #[test]
+    fn poisoned_locks_are_recovered() {
+        // A caller that panics while holding the plan-cache lock or the
+        // scratch lock must not break the engine for every later caller.
+        let mut cat = Catalog::alphabetic();
+        let d = db("ab, bc, cd", &mut cat);
+        let state = random_state(&d, 0xB0, 25, 4);
+        let x = AttrSet::parse("ad", &mut cat).unwrap();
+        let e = FullReducerEngine::new();
+        assert!(e.plan(&d).is_ok());
+        let panics_holding = |f: &dyn Fn()| {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            assert!(unwound.is_err(), "the closure panics");
+        };
+        panics_holding(&|| {
+            let _held = e.plans.lock();
+            panic!("caller panics holding the plan cache");
+        });
+        panics_holding(&|| {
+            let _held = e.scratch.lock();
+            panic!("caller panics holding the scratch");
+        });
+        assert!(e.plans.map.is_poisoned() && e.scratch.is_poisoned());
+        for _ in 0..2 {
+            assert_eq!(e.reduce(&d, &state), NaiveEngine.reduce(&d, &state));
+            assert_eq!(e.answer(&d, &state, &x), NaiveEngine.answer(&d, &state, &x));
+        }
+        assert_eq!(e.cache_stats(), (4, 1), "the poisoned cache still hits");
     }
 
     #[test]

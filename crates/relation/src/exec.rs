@@ -19,9 +19,12 @@
 //!    sorted `(hash, row)` spine for wide keys (probes re-compare the
 //!    actual key slices through the packed side buffers — a chunked memcmp
 //!    — so hash collisions cannot lie).
-//! 2. **Probe** the target's key column through the selection-vector
-//!    retain kernels ([`SelVec::retain_u64`]&c.): fixed-size chunks,
-//!    branchless mask accumulation, no per-row branching.
+//! 2. **Probe** the target's key column through the one selection-vector
+//!    kernel, [`SelVec::retain`]: fixed-size chunks, branchless mask
+//!    accumulation, no per-row branching.
+//!
+//! `apply_step` holds the executor's only key-width dispatch: one match
+//! over the two `KeyColumn`s picks the membership structure.
 //!
 //! All scratch state lives in an [`ExecScratch`] that is reused across
 //! steps *and* across whole program runs, so after warm-up (first run at a
@@ -197,7 +200,7 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
     };
 
     // Build membership over the *selected* source keys, then probe the
-    // target's key column through the chunked retain kernels.
+    // target's key column through the chunked retain kernel.
     match (&*source_col, &*target_col) {
         (
             KeyColumn::One {
@@ -213,26 +216,13 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
             if scratch.stamp.begin(*min, *max) {
                 let stamp = &mut scratch.stamp;
                 ssel.for_each(|i| stamp.insert(svals[i]));
-                let stamp = &scratch.stamp;
-                tsel.retain_u64(tvals, |k| stamp.contains(k));
+                tsel.retain(|i| stamp.contains(tvals[i]));
             } else {
-                scratch.one.clear();
-                let set = &mut scratch.one;
-                ssel.for_each(|i| {
-                    set.insert(svals[i]);
-                });
-                let set = &scratch.one;
-                tsel.retain_u64(tvals, |k| set.contains(&k));
+                hash_semijoin(&mut scratch.one, svals, ssel, tvals, tsel);
             }
         }
         (KeyColumn::Two(svals), KeyColumn::Two(tvals)) => {
-            scratch.two.clear();
-            let set = &mut scratch.two;
-            ssel.for_each(|i| {
-                set.insert(svals[i]);
-            });
-            let set = &scratch.two;
-            tsel.retain_u128(tvals, |k| set.contains(&k));
+            hash_semijoin(&mut scratch.two, svals, ssel, tvals, tsel);
         }
         (
             KeyColumn::Wide { width, keys: skeys },
@@ -247,8 +237,8 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
             let spine = &mut scratch.wide;
             ssel.for_each(|i| spine.push((hash_wide(&skeys[i * w..(i + 1) * w]), i as u32)));
             spine.sort_unstable_by_key(|&(h, _)| h);
-            let spine = &scratch.wide;
-            tsel.retain_wide(tkeys, w, |key| {
+            tsel.retain(|i| {
+                let key = &tkeys[i * w..(i + 1) * w];
                 let h = hash_wide(key);
                 let mut at = spine.partition_point(|&(sh, _)| sh < h);
                 // Collisions re-compare the actual key slices (chunked
@@ -268,6 +258,23 @@ fn apply_step(rels: &[Relation], scratch: &mut ExecScratch, step: &SemijoinStep)
         }
         _ => unreachable!("key widths match across a step"),
     }
+}
+
+/// The hash-set membership step shared by the packed key widths: fills
+/// the reused `set` with the selected source keys, then keeps the selected
+/// target rows whose key is in it.
+fn hash_semijoin<K: Copy + Eq + Hash>(
+    set: &mut FxHashSet<K>,
+    svals: &[K],
+    ssel: &SelVec,
+    tvals: &[K],
+    tsel: &mut SelVec,
+) {
+    set.clear();
+    ssel.for_each(|i| {
+        set.insert(svals[i]);
+    });
+    tsel.retain(|i| set.contains(&tvals[i]));
 }
 
 #[cfg(test)]

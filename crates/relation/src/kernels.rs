@@ -13,13 +13,14 @@
 //!   loop.
 //! * [`SelVec`] — a reusable **selection vector**: the surviving row
 //!   indices (`u32`, ascending) plus a generation-stamped bitset for O(1)
-//!   membership, resettable in O(1) by bumping the generation. The
-//!   [`SelVec::retain_u64`]/[`SelVec::retain_u128`]/[`SelVec::retain_wide`]
-//!   kernels drive semijoin probes: keys are tested in fixed-size chunks of
-//!   [`CHUNK`] lanes with **branchless mask accumulation** (one `u64`
-//!   survivor mask per chunk, compacted by iterating its set bits), which
-//!   keeps the inner loop free of per-row branches and friendly to the
-//!   autovectorizer — no nightly `std::simd` involved.
+//!   membership, resettable in O(1) by bumping the generation. Its one
+//!   filter kernel, [`SelVec::retain`], drives every semijoin probe of the
+//!   program executor, whatever the key width: rows are tested in
+//!   fixed-size chunks of [`CHUNK`] lanes with **branchless mask
+//!   accumulation** (one `u64` survivor mask per chunk, compacted by
+//!   iterating its set bits), which keeps the inner loop free of per-row
+//!   branches and friendly to the autovectorizer — no nightly `std::simd`
+//!   involved.
 //! * [`StampTable`] — generation-stamped direct-map membership for packed
 //!   `u64` keys from a small value range: insert is one store, the probe is
 //!   one load + compare (the fastest possible key comparison). The batched
@@ -28,7 +29,7 @@
 //! * [`gather_rows`] — materializes the rows a [`SelVec`] selected into a
 //!   fresh flat buffer (selection preserves row order, so the output is
 //!   already normalized).
-//! * [`sort_dedup_packed`] — normalization support: rows of arity ≥ 3 whose
+//! * [`sort_dedup_packed`] — normalization support: rows of arity ≥ 2 whose
 //!   values fit `arity · bits ≤ 128` are packed into `u64`/`u128` scalars,
 //!   sorted as scalars, deduplicated, and unpacked — columnar pack/unpack
 //!   loops plus a scalar sort instead of an index-permutation sort with
@@ -176,7 +177,7 @@ impl<'a> ColumnarView<'a> {
 /// membership tests ([`SelVec::is_selected`]).
 ///
 /// A fresh/reset `SelVec` is **dense** — every row `0..len` is selected and
-/// no index storage is touched. The `retain_*` kernels switch it to sparse
+/// no index storage is touched. [`SelVec::retain`] switches it to sparse
 /// on the first filtering step. Resetting costs O(1) (bump the generation,
 /// mark dense); the backing buffers are reused across program runs, which is
 /// what makes whole-program execution allocation-free after warm-up.
@@ -268,39 +269,12 @@ impl SelVec {
         }
     }
 
-    /// Semijoin probe kernel over packed `u64` key columns: keeps exactly
-    /// the selected rows whose key passes `test`. `keys[i]` is row `i`'s
-    /// key. Keys are tested in chunks of [`CHUNK`] lanes with branchless
-    /// mask accumulation; surviving indices are compacted by iterating the
-    /// chunk mask's set bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some selected index is out of `keys`' range.
-    pub fn retain_u64(&mut self, keys: &[u64], mut test: impl FnMut(u64) -> bool) {
-        self.retain_by_index(|i| test(keys[i]));
-    }
-
-    /// [`SelVec::retain_u64`] for packed `u128` (width-2) key columns.
-    pub fn retain_u128(&mut self, keys: &[u128], mut test: impl FnMut(u128) -> bool) {
-        self.retain_by_index(|i| test(keys[i]));
-    }
-
-    /// [`SelVec::retain_u64`] for wide keys packed row-major into one side
-    /// buffer (`keys[i·width..(i+1)·width]` is row `i`'s key). The `test`
-    /// closure compares whole key slices (a chunked memcmp under `==`).
-    pub fn retain_wide(
-        &mut self,
-        keys: &[u64],
-        width: usize,
-        mut test: impl FnMut(&[u64]) -> bool,
-    ) {
-        assert!(width > 0, "wide keys have width >= 3");
-        self.retain_by_index(|i| test(&keys[i * width..(i + 1) * width]));
-    }
-
-    /// The shared chunked retain loop: `keep(i)` decides row `i`'s fate.
-    fn retain_by_index(&mut self, mut keep: impl FnMut(usize) -> bool) {
+    /// The semijoin probe kernel: keeps exactly the selected rows `i` for
+    /// which `keep(i)` holds (the caller reads row `i`'s key from its own
+    /// key column, of any width). Rows are tested in chunks of [`CHUNK`]
+    /// lanes with branchless mask accumulation; surviving indices are
+    /// compacted by iterating the chunk mask's set bits.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
         let total = self.n;
         if self.dense {
             // Grow-only warm-up: after the first filter at this row count
@@ -555,7 +529,7 @@ pub fn sort_dedup_packed(
     rows: usize,
     mut data: Vec<u64>,
 ) -> Result<(usize, Vec<u64>), Vec<u64>> {
-    debug_assert!(arity >= 2, "arity <= 2 rows already sort as scalars");
+    debug_assert!(arity >= 2, "arity-1 rows already sort as scalars");
     debug_assert_eq!(data.len(), rows * arity);
     let _ = rows;
     let max = data.iter().copied().max().unwrap_or(0);
@@ -576,14 +550,12 @@ pub fn sort_dedup_packed(
             packed.sort_unstable();
             packed.dedup();
             let kept = packed.len();
-            data.clear();
+            data.truncate(kept * arity);
             let mask = ((1 as $scalar) << shift) - 1;
-            for &p in &packed {
-                let start = data.len();
-                data.resize(start + arity, 0);
+            for (row, &p) in data.chunks_exact_mut(arity).zip(&packed) {
                 let mut p = p;
-                for j in (0..arity).rev() {
-                    data[start + j] = (p & mask) as u64;
+                for v in row.iter_mut().rev() {
+                    *v = (p & mask) as u64;
                     p >>= shift;
                 }
             }
@@ -643,12 +615,12 @@ mod tests {
         let keys: Vec<u64> = (0..200).map(|i| i % 10).collect();
         let mut sel = SelVec::full(200);
         assert!(sel.is_dense());
-        sel.retain_u64(&keys, |k| k < 5);
+        sel.retain(|i| keys[i] < 5);
         assert_eq!(sel.len(), 100);
         assert!(!sel.is_dense());
         assert!(sel.is_selected(0) && sel.is_selected(4) && !sel.is_selected(5));
         // Second (sparse) retain narrows further; stamps stay exact.
-        sel.retain_u64(&keys, |k| k == 3);
+        sel.retain(|i| keys[i] == 3);
         assert_eq!(sel.len(), 20);
         assert!(sel.is_selected(3) && sel.is_selected(13));
         assert!(!sel.is_selected(0), "dropped rows lose their stamp");
@@ -662,7 +634,7 @@ mod tests {
     fn selvec_reset_reuses_buffers() {
         let keys: Vec<u64> = (0..100).collect();
         let mut sel = SelVec::full(100);
-        sel.retain_u64(&keys, |k| k % 2 == 0);
+        sel.retain(|i| keys[i].is_multiple_of(2));
         assert_eq!(sel.len(), 50);
         assert!(sel.is_selected(0));
         sel.clear();
@@ -685,7 +657,7 @@ mod tests {
         for len in [0usize, 1, 63, 64, 65, 127, 128, 129] {
             let keys: Vec<u64> = (0..len as u64).collect();
             let mut sel = SelVec::full(len);
-            sel.retain_u64(&keys, |k| k % 3 != 0);
+            sel.retain(|i| !keys[i].is_multiple_of(3));
             let expect: Vec<usize> = (0..len).filter(|i| i % 3 != 0).collect();
             let mut got = Vec::new();
             sel.for_each(|i| got.push(i));
@@ -716,7 +688,8 @@ mod tests {
         let mut out = Vec::new();
         gather_rows(&data, 2, &sel, &mut out);
         assert_eq!(out, data);
-        sel.retain_u64(&[9, 7, 9], |k| k == 9);
+        let keys = [9, 7, 9];
+        sel.retain(|i| keys[i] == 9);
         out.clear();
         gather_rows(&data, 2, &sel, &mut out);
         assert_eq!(out, vec![1, 2, 5, 6]);

@@ -17,8 +17,8 @@
 //! * [`exec`] — precompiled semijoin steps ([`SemijoinStep`]) and the
 //!   selection-vector [`semijoin_program_with`] executor used by the cached
 //!   full-reducer engine;
-//! * [`kernels`] — the columnar kernel layer: gather projection, chunked
-//!   branchless key-probe kernels over [`SelVec`] selection vectors, the
+//! * [`kernels`] — the columnar kernel layer: gather projection, the
+//!   chunked branchless [`SelVec::retain`] probe kernel, the
 //!   generation-stamped [`kernels::StampTable`], and packed row sorting.
 //!
 //! # Flat row-major storage
@@ -46,19 +46,22 @@
 //! On top of the flat layout sits the [`kernels`] layer: projection moves
 //! values in column-strided blocks ([`kernels::ColumnarView::gather_into`]),
 //! join outputs are assembled column-at-a-time over a matched-pair list,
-//! and semijoin filtering — both the one-shot operator and whole compiled
-//! programs — runs through reusable [`SelVec`] **selection vectors**
-//! (`u32` survivor indices plus a generation-stamped bitset) probed in
-//! fixed-size chunks with branchless mask accumulation. The
-//! [`semijoin_program_with`] executor threads one `SelVec` per relation
-//! slot through an entire full-reducer program: no intermediate relation is
-//! materialized and, with its caller-owned [`exec::ExecScratch`] kept
-//! across calls, no step allocates after warm-up.
+//! and compiled semijoin programs filter through reusable [`SelVec`]
+//! **selection vectors** (`u32` survivor indices plus a generation-stamped
+//! bitset). The [`semijoin_program_with`] executor threads one `SelVec` per
+//! relation slot through an entire full-reducer program: no intermediate
+//! relation is materialized and, with its caller-owned
+//! [`exec::ExecScratch`] kept across calls, no step allocates after
+//! warm-up. Every step, whatever its key width, filters through the one
+//! kernel [`SelVec::retain`], in fixed-size chunks with branchless mask
+//! accumulation.
 //!
 //! Row-at-a-time execution remains in exactly the places where a column
 //! decomposition has nothing to offer: hash-*building* (`KeyIndex`
-//! construction walks rows once), the probe half of `natural_join`
-//! (match fan-out is data-dependent), normalization of rows whose values
+//! construction walks rows once), the one hash-table probe `KeyIndex::probe`
+//! (one streaming pass over the probe side, shared by `natural_join`, where
+//! match fan-out is data-dependent, the one-shot [`Relation::semijoin`]
+//! filter and [`Relation::is_subset`]), normalization of rows whose values
 //! are too wide to pack into `u64`/`u128` scalars
 //! ([`kernels::sort_dedup_packed`] falls back to an index-permutation
 //! sort), and the `Vec<Vec<u64>>` boundary shims.

@@ -15,8 +15,10 @@
 //! The buffer is normalized (rows strictly increasing in lexicographic
 //! order, duplicates removed) at construction, so equality is set equality
 //! and binary search works on row indices. Normalization itself is
-//! stride-aware and allocation-free per row: width-1 and width-2 rows sort
-//! as packed scalars, wider rows sort through an index permutation.
+//! stride-aware and allocation-free per row: width-1 rows sort as scalars,
+//! wider rows pack into `u64`/`u128` scalars whenever their values fit
+//! (always at width 2), and only rows too wide to pack sort through an
+//! index permutation.
 //!
 //! The buffer sits behind an `Arc`, so cloning a relation is O(1) and all
 //! clones share both the tuple storage and the lazily built derivation
@@ -29,24 +31,18 @@
 //! buffer.
 
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use gyo_schema::{AttrId, AttrSet, Catalog, FxHashMap};
 
 use crate::kernels::{self, ColumnarView, SelVec};
 
 /// Packs a width-2 key into one scalar. The first column lands in the high
-/// half, so `u128` ordering equals lexicographic row ordering — every
-/// width-2 build, probe, and sort site must agree on this encoding.
+/// half, so `u128` ordering equals lexicographic key ordering — every
+/// width-2 build and probe site must agree on this encoding.
 #[inline]
 fn pack2(a: u64, b: u64) -> u128 {
     (a as u128) << 64 | b as u128
-}
-
-/// Inverse of [`pack2`].
-#[inline]
-fn unpack2(p: u128) -> (u64, u64) {
-    ((p >> 64) as u64, p as u64)
 }
 
 /// A hash index over one key-attribute set: key values (in [`AttrSet`]
@@ -99,11 +95,51 @@ impl KeyIndex {
             }
         }
     }
+
+    /// The one probe over a build table, and the only place its width is
+    /// matched on the probe side. Streams `rel`'s rows in order, reads each
+    /// row's key at `pos` (the build key's width and column order), and
+    /// calls `f(i, row, hit)`: `hit` holds the build rows sharing that key
+    /// (all of them for the empty key), or is `None` on a miss. Callers
+    /// that only test membership never read the row list, so a miss or a
+    /// hit costs one hash lookup. Stops at the first `false` from `f`;
+    /// returns whether every call returned `true`.
+    fn probe(
+        &self,
+        rel: &Relation,
+        pos: &[usize],
+        mut f: impl FnMut(usize, &[u64], Option<&Vec<usize>>) -> bool,
+    ) -> bool {
+        let mut rows = rel.rows().enumerate();
+        match self {
+            KeyIndex::Empty(all) => {
+                let hit = (!all.is_empty()).then_some(all);
+                rows.all(|(i, t)| f(i, t, hit))
+            }
+            KeyIndex::One(map) => {
+                let p = pos[0];
+                rows.all(|(i, t)| f(i, t, map.get(&t[p])))
+            }
+            KeyIndex::Two(map) => {
+                let (p, q) = (pos[0], pos[1]);
+                rows.all(|(i, t)| f(i, t, map.get(&pack2(t[p], t[q]))))
+            }
+            KeyIndex::Wide(map) => {
+                let mut key: Vec<u64> = Vec::with_capacity(pos.len());
+                rows.all(|(i, t)| {
+                    key.clear();
+                    key.extend(pos.iter().map(|&p| t[p]));
+                    f(i, t, map.get(key.as_slice()))
+                })
+            }
+        }
+    }
 }
 
 /// Lazily built per-relation derivations, keyed by the [`AttrSet`] they were
-/// derived for: column positions (for projections and semijoin probes) and
-/// hash-join build tables (for `⋈`/`⋉` against this relation).
+/// derived for: column positions (for projections and semijoin probes),
+/// hash-join build tables (for `⋈`/`⋉` against this relation) and flat key
+/// columns (for the semijoin program executor).
 ///
 /// A [`Relation`]'s attribute set and tuples never change after
 /// construction, so cached derivations stay valid for the relation's whole
@@ -180,8 +216,14 @@ impl KeyColumn {
 }
 
 impl RelCache {
-    fn inner(&self) -> &Mutex<CacheInner> {
-        self.slot.get_or_init(Arc::default)
+    /// Locks the shared maps. A panic while the lock was held cannot leave
+    /// a map half-written (each insert is one call), so a poisoned lock is
+    /// simply taken over.
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.slot
+            .get_or_init(Arc::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -301,11 +343,11 @@ impl ExactSizeIterator for Rows<'_> {}
 
 /// Sorts and deduplicates a row-major buffer in place (stride-aware);
 /// returns the surviving row count and buffer. Detects the already-sorted
-/// common case with one linear scan, packs width ≤ 2 rows into scalars,
-/// packs wider rows into `u64`/`u128` scalars whenever the value bits fit
-/// (see [`kernels::sort_dedup_packed`]), and only falls back to an index
-/// permutation for genuinely wide rows — no per-row heap allocation for
-/// any arity.
+/// common case with one linear scan, sorts width-1 rows as scalars, packs
+/// wider rows into `u64`/`u128` scalars whenever the value bits fit (see
+/// [`kernels::sort_dedup_packed`]; width-2 rows always fit), and only falls
+/// back to an index permutation for genuinely wide rows — no per-row heap
+/// allocation for any arity.
 fn normalize(arity: usize, rows: usize, mut data: Vec<u64>) -> (usize, Vec<u64>) {
     if arity == 0 {
         // All empty tuples are equal: the set has at most one element.
@@ -321,18 +363,6 @@ fn normalize(arity: usize, rows: usize, mut data: Vec<u64>) -> (usize, Vec<u64>)
             data.sort_unstable();
             data.dedup();
             (data.len(), data)
-        }
-        2 => {
-            let mut packed: Vec<u128> = data.chunks_exact(2).map(|c| pack2(c[0], c[1])).collect();
-            packed.sort_unstable();
-            packed.dedup();
-            data.clear();
-            for &p in &packed {
-                let (a, b) = unpack2(p);
-                data.push(a);
-                data.push(b);
-            }
-            (packed.len(), data)
         }
         _ => {
             // Columnar fast path: rows whose values fit pack into scalars
@@ -514,27 +544,14 @@ impl Relation {
         self.len == 0
     }
 
-    /// Membership test (`tuple` in column order). When the full-attribute
-    /// `KeyIndex` is already cached — built by [`Relation::is_subset`] and
-    /// other assert-heavy repeated-probe paths — the probe is one O(1)
-    /// hash lookup (the key positions are the identity map, so the tuple
-    /// *is* the probe key); a cold one-shot call falls back to the
-    /// allocation-free binary search over the sorted rows rather than
-    /// paying an O(n) index build it would never amortize.
+    /// Membership test (`tuple` in column order): an allocation-free binary
+    /// search over the sorted rows.
     pub fn contains(&self, tuple: &[u64]) -> bool {
         if self.arity == 0 {
             return tuple.is_empty() && self.len > 0;
         }
         if tuple.len() != self.arity {
             return false; // a tuple of the wrong width is never a member
-        }
-        if let Some(index) = self.key_index_if_cached(&self.attrs) {
-            return match &*index {
-                KeyIndex::Empty(all) => !all.is_empty(),
-                KeyIndex::One(map) => map.contains_key(&tuple[0]),
-                KeyIndex::Two(map) => map.contains_key(&pack2(tuple[0], tuple[1])),
-                KeyIndex::Wide(map) => map.contains_key(tuple),
-            };
         }
         let (mut lo, mut hi) = (0usize, self.len);
         while lo < hi {
@@ -565,84 +582,51 @@ impl Relation {
             .collect()
     }
 
-    /// Cached [`Self::positions_of`]: the first call per `attrs` derives the
-    /// positions, later calls (including on clones) return the shared copy.
+    /// The one derivation-cache accessor: the value `map` holds for `key`,
+    /// or `derive()`'s, cached for every later call on this relation and its
+    /// clones. The derivation runs outside the lock: it is pure, so a racing
+    /// caller at worst duplicates work, and the first insert wins.
+    fn derived<T>(
+        &self,
+        key: &AttrSet,
+        map: fn(&mut CacheInner) -> &mut FxHashMap<AttrSet, Arc<T>>,
+        derive: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        if let Some(hit) = map(&mut self.cache.lock()).get(key) {
+            return Arc::clone(hit);
+        }
+        let value = Arc::new(derive());
+        Arc::clone(
+            map(&mut self.cache.lock())
+                .entry(key.clone())
+                .or_insert(value),
+        )
+    }
+
+    /// Cached [`Self::positions_of`].
     pub(crate) fn positions_cached(&self, attrs: &AttrSet) -> Arc<Vec<usize>> {
-        let mut inner = self.cache.inner().lock().expect("relation cache lock");
-        if let Some(pos) = inner.positions.get(attrs) {
-            return Arc::clone(pos);
-        }
-        let pos = Arc::new(self.positions_of(attrs));
-        inner.positions.insert(attrs.clone(), Arc::clone(&pos));
-        pos
+        self.derived(attrs, |c| &mut c.positions, || self.positions_of(attrs))
     }
 
-    /// The already-cached build table over `key`, if any — no build is
-    /// triggered. Lets cold paths choose a cheaper strategy instead of
-    /// paying an index build they would not amortize.
-    pub(crate) fn key_index_if_cached(&self, key: &AttrSet) -> Option<Arc<KeyIndex>> {
-        self.cache
-            .inner()
-            .lock()
-            .expect("relation cache lock")
-            .builds
-            .get(key)
-            .cloned()
-    }
-
-    /// The hash-join build table over `key ⊆ attrs(self)` (see
-    /// [`KeyIndex`]). Built once per key set and cached, so repeated
-    /// joins/semijoins against this relation (or clones of it) reuse the
-    /// build.
+    /// The cached hash-join build table over `key ⊆ attrs(self)` (see
+    /// [`KeyIndex`]), reused by every join and semijoin against this
+    /// relation or its clones.
     pub(crate) fn key_index(&self, key: &AttrSet) -> Arc<KeyIndex> {
-        if let Some(table) = self
-            .cache
-            .inner()
-            .lock()
-            .expect("relation cache lock")
-            .builds
-            .get(key)
-        {
-            return Arc::clone(table);
-        }
-        // Build outside the lock: the derivation is pure, so a racing
-        // builder at worst duplicates work.
-        let pos = self.positions_of(key);
-        let table = Arc::new(KeyIndex::build(self, &pos));
-        self.cache
-            .inner()
-            .lock()
-            .expect("relation cache lock")
-            .builds
-            .entry(key.clone())
-            .or_insert_with(|| Arc::clone(&table))
-            .clone()
+        self.derived(
+            key,
+            |c| &mut c.builds,
+            || KeyIndex::build(self, &self.positions_of(key)),
+        )
     }
 
-    /// The flat key column over `key ⊆ attrs(self)` (see [`KeyColumn`]),
-    /// extracted once and cached — the batched semijoin executor reads
-    /// these instead of chasing per-tuple heap pointers.
+    /// The cached flat key column over `key ⊆ attrs(self)` (see
+    /// [`KeyColumn`]) that the semijoin program executor reads.
     pub(crate) fn key_column(&self, key: &AttrSet) -> Arc<KeyColumn> {
-        if let Some(col) = self
-            .cache
-            .inner()
-            .lock()
-            .expect("relation cache lock")
-            .columns
-            .get(key)
-        {
-            return Arc::clone(col);
-        }
-        let pos = self.positions_of(key);
-        let col = Arc::new(KeyColumn::extract(self, &pos));
-        self.cache
-            .inner()
-            .lock()
-            .expect("relation cache lock")
-            .columns
-            .entry(key.clone())
-            .or_insert_with(|| Arc::clone(&col))
-            .clone()
+        self.derived(
+            key,
+            |c| &mut c.columns,
+            || KeyColumn::extract(self, &self.positions_of(key)),
+        )
     }
 
     /// A columnar view of the flat buffer (the kernel layer's window onto
@@ -727,151 +711,71 @@ impl Relation {
         // Probe phase: stream matching row pairs into a bounded block
         // buffer, flushing each full block through the column-at-a-time
         // assembly kernel. Probe keys are read straight off the row slices
-        // (one streaming pass; the index-shape dispatch is hoisted out of
-        // the loop) — extracting a key column here would cost an extra
-        // pass over the probe side, which one-shot joins never earn back.
-        // The block bound keeps huge join outputs from materializing a
+        // in one streaming pass — extracting a key column here would cost an
+        // extra pass over the probe side, which one-shot joins never earn
+        // back. The block bound keeps huge join outputs from materializing a
         // full pair list before assembly.
-        let mut data: Vec<u64> = Vec::new();
-        let mut rows = 0usize;
-        debug_assert!(
+        assert!(
             probe.len <= u32::MAX as usize && build.len <= u32::MAX as usize,
             "pair indices are u32; row counts must fit (cf. SelVec::reset)"
         );
         const FLUSH: usize = kernels::CHUNK * 16;
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(FLUSH);
-        let mut emit = |pairs: &mut Vec<(u32, u32)>, data: &mut Vec<u64>, force: bool| {
-            if force || pairs.len() >= FLUSH {
-                rows += pairs.len();
-                kernels::gather_pairs(
-                    &probe.data,
-                    probe.arity,
-                    &build.data,
-                    build.arity,
-                    &probe_cols,
-                    &build_cols,
-                    pairs,
-                    out_arity,
-                    data,
-                );
-                pairs.clear();
-            }
+        let mut data: Vec<u64> = Vec::new();
+        let mut rows = 0usize;
+        let mut flush = |pairs: &mut Vec<(u32, u32)>, data: &mut Vec<u64>| {
+            rows += pairs.len();
+            kernels::gather_pairs(
+                &probe.data,
+                probe.arity,
+                &build.data,
+                build.arity,
+                &probe_cols,
+                &build_cols,
+                pairs,
+                out_arity,
+                data,
+            );
+            pairs.clear();
         };
-        macro_rules! probe_loop {
-            ($iter:expr, $map:expr) => {
-                for (pi, k) in $iter {
-                    if let Some(matches) = $map.get(&k) {
-                        for &bi in matches {
-                            pairs.push((pi as u32, bi as u32));
-                        }
-                        emit(&mut pairs, &mut data, false);
-                    }
-                }
-            };
-        }
-        match &*table {
-            KeyIndex::Empty(all) => {
-                // Disjoint schemas: cross product.
-                for pi in 0..probe.len {
-                    for &bi in all {
-                        pairs.push((pi as u32, bi as u32));
-                    }
-                    emit(&mut pairs, &mut data, false);
+        table.probe(probe, &probe_key, |pi, _, hit| {
+            if let Some(matches) = hit {
+                pairs.extend(matches.iter().map(|&bi| (pi as u32, bi as u32)));
+                if pairs.len() >= FLUSH {
+                    flush(&mut pairs, &mut data);
                 }
             }
-            KeyIndex::One(map) => {
-                let p = probe_key[0];
-                probe_loop!(probe.rows().enumerate().map(|(pi, t)| (pi, t[p])), map)
-            }
-            KeyIndex::Two(map) => {
-                let (p, q) = (probe_key[0], probe_key[1]);
-                probe_loop!(
-                    probe
-                        .rows()
-                        .enumerate()
-                        .map(|(pi, t)| (pi, pack2(t[p], t[q]))),
-                    map
-                )
-            }
-            KeyIndex::Wide(map) => {
-                let mut scratch: Vec<u64> = Vec::with_capacity(probe_key.len());
-                for (pi, t) in probe.rows().enumerate() {
-                    scratch.clear();
-                    scratch.extend(probe_key.iter().map(|&p| t[p]));
-                    if let Some(matches) = map.get(scratch.as_slice()) {
-                        for &bi in matches {
-                            pairs.push((pi as u32, bi as u32));
-                        }
-                        emit(&mut pairs, &mut data, false);
-                    }
-                }
-            }
-        }
-        emit(&mut pairs, &mut data, true);
+            true
+        });
+        flush(&mut pairs, &mut data);
         debug_assert_eq!(data.len(), rows * out_arity);
         Relation::from_row_major(out_attrs, rows, data)
     }
 
     /// Natural semijoin `self ⋉ other = π_self(self ⋈ other)`, computed
-    /// directly by filtering (no join materialization). The build over
-    /// `other`'s key columns comes from its cache, so repeated semijoins
-    /// against the same relation reuse it.
+    /// directly by filtering (no join materialization): one row-at-a-time
+    /// probe of `other`'s cached build table keeps the matching tuples,
+    /// written contiguously into one pre-sized flat buffer (filtering
+    /// preserves normalization). Repeated semijoins against the same
+    /// relation reuse its build.
     pub fn semijoin(&self, other: &Relation) -> Relation {
         let shared = self.attrs.intersect(&other.attrs);
-        let my_key = self.positions_cached(&shared);
-        let index = other.key_index(&shared);
-        self.semijoin_filtered(&my_key, &index)
-    }
-
-    /// The probe half of a semijoin: one streaming pass keeps the tuples
-    /// whose `my_key` columns hit `index`, written contiguously into one
-    /// pre-sized flat buffer (filtering preserves normalization). The
-    /// index-shape dispatch is hoisted out of the row loop; this stays
-    /// row-at-a-time deliberately — a one-shot filter earns nothing from a
-    /// selection vector (that is the *program* executor's tool, where
-    /// selections thread across many steps without materializing).
-    pub(crate) fn semijoin_filtered(&self, my_key: &[usize], index: &KeyIndex) -> Relation {
-        if self.len == 0 {
-            return self.clone();
+        if self.len == 0 || (shared.is_empty() && other.len > 0) {
+            return self.clone(); // ∅ ⋉ S = ∅; R ⋉ S = R for a disjoint, nonempty S
         }
+        let index = other.key_index(&shared);
         // The output is bounded by the input; reserving the bound up front
         // avoids doubling reallocations, and a highly selective filter
         // gives the excess back.
         let mut data: Vec<u64> = Vec::with_capacity(self.len * self.arity);
         let mut kept = 0usize;
-        macro_rules! filter_rows {
-            ($keep:expr) => {
-                for t in self.rows() {
-                    #[allow(clippy::redundant_closure_call)]
-                    if $keep(t) {
-                        data.extend_from_slice(t);
-                        kept += 1;
-                    }
-                }
-            };
-        }
-        match (index, my_key) {
-            (KeyIndex::Empty(all), _) => {
-                return if all.is_empty() {
-                    Relation::empty(self.attrs.clone())
-                } else {
-                    self.clone()
-                };
+        index.probe(self, &self.positions_cached(&shared), |_, t, hit| {
+            if hit.is_some() {
+                data.extend_from_slice(t);
+                kept += 1;
             }
-            (KeyIndex::One(map), &[p]) => filter_rows!(|t: &[u64]| map.contains_key(&t[p])),
-            (KeyIndex::Two(map), &[p, q]) => {
-                filter_rows!(|t: &[u64]| map.contains_key(&pack2(t[p], t[q])))
-            }
-            (KeyIndex::Wide(map), _) => {
-                let mut scratch: Vec<u64> = Vec::with_capacity(my_key.len());
-                filter_rows!(|t: &[u64]| {
-                    scratch.clear();
-                    scratch.extend(my_key.iter().map(|&p| t[p]));
-                    map.contains_key(scratch.as_slice())
-                })
-            }
-            _ => unreachable!("key width matches the index shape"),
-        }
+            true
+        });
         if data.capacity() > 2 * data.len() {
             data.shrink_to_fit();
         }
@@ -913,21 +817,18 @@ impl Relation {
 
     /// Whether `self ⊆ other` as tuple sets (same attribute set required).
     /// Builds (or reuses) `other`'s full-attribute `KeyIndex` once and
-    /// probes it directly per row: this is the assert-heavy repeated-probe
-    /// pattern the cached index exists for — one hash lookup per tuple,
-    /// one cache-lock for the whole check.
+    /// probes it with every row of `self`, stopping at the first miss: this
+    /// is the assert-heavy repeated-check pattern the cached index exists
+    /// for — one hash lookup per tuple.
     pub fn is_subset(&self, other: &Relation) -> bool {
         assert_eq!(self.attrs, other.attrs, "comparison requires equal schemas");
         if self.arity == 0 || self.is_empty() {
             return self.is_empty() || other.len > 0;
         }
         let index = other.key_index(&other.attrs);
-        match &*index {
-            KeyIndex::Empty(all) => !all.is_empty(),
-            KeyIndex::One(map) => self.rows().all(|t| map.contains_key(&t[0])),
-            KeyIndex::Two(map) => self.rows().all(|t| map.contains_key(&pack2(t[0], t[1]))),
-            KeyIndex::Wide(map) => self.rows().all(|t| map.contains_key(t)),
-        }
+        index.probe(self, &self.positions_cached(&self.attrs), |_, _, hit| {
+            hit.is_some()
+        })
     }
 
     /// Renders a small relation as an ASCII table for diagnostics.
@@ -1169,6 +1070,22 @@ mod tests {
         let second = r.semijoin(&hub); // hits hub's cached key index
         assert_eq!(first, second);
         assert_eq!(first.to_vecs(), vec![vec![1, 10]]);
+    }
+
+    #[test]
+    fn poisoned_cache_lock_is_recovered() {
+        // A caller that panics while holding a relation's derivation-cache
+        // lock must not break the relation (or its clones) for later calls.
+        let r = Relation::new(attrs(&[0, 1]), vec![vec![1, 10], vec![2, 20]]);
+        let idx = r.key_index(&attrs(&[1]));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = r.cache.lock();
+            panic!("caller panics holding the relation cache");
+        }));
+        assert!(unwound.is_err(), "the closure panics");
+        assert!(Arc::ptr_eq(&idx, &r.clone().key_index(&attrs(&[1]))));
+        let s = Relation::new(attrs(&[1, 2]), vec![vec![10, 5]]);
+        assert_eq!(r.semijoin(&s).to_vecs(), vec![vec![1, 10]]);
     }
 
     #[test]

@@ -85,11 +85,15 @@ fn wide_chain_schemas(n: usize, arity: u32, overlap: u32) -> Vec<AttrSet> {
         .collect()
 }
 
+/// One allocation scenario: a label, the slot schemas, and the cell-value
+/// post-processing handed to [`ur_rels`].
+type Scenario = (&'static str, Vec<AttrSet>, Box<dyn Fn(u64) -> u64>);
+
 #[test]
 fn warm_program_steps_allocate_nothing() {
     // One scenario per membership path: width-1 stamp table, width-1 hash
     // fallback (huge key range), width-2 packed set, wide (width-3) spine.
-    let scenarios: Vec<(&str, Vec<AttrSet>, Box<dyn Fn(u64) -> u64>)> = vec![
+    let scenarios: Vec<Scenario> = vec![
         (
             "width-1 stamp",
             wide_chain_schemas(6, 2, 1),

@@ -149,9 +149,12 @@ proptest! {
     /// Flat-layout round trip: `Relation::new(attrs, vecs)` ↔ `rows()`
     /// preserves the sorted-dedup normalization invariant in both
     /// directions, and the flat constructor agrees with the nested one.
+    /// Mixed-magnitude values send every arity ≥ 2 through both the `u64`
+    /// and the `u128` packed sort, and arity ≥ 3 also through the
+    /// index-permutation fallback.
     #[test]
     fn flat_storage_round_trips(attrs in proptest::collection::vec(0u32..W as u32, 1..=W),
-                                rows in proptest::collection::vec(proptest::collection::vec(0u64..4, W), 0..12)) {
+                                rows in proptest::collection::vec(proptest::collection::vec(any_value(), W), 0..12)) {
         let set = AttrSet::from_raw(&attrs);
         let width = set.len();
         let vecs: Vec<Vec<u64>> = rows.iter().map(|r| r[..width].to_vec()).collect();
@@ -249,6 +252,22 @@ fn reference_semijoin(r: &Relation, s: &Relation) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// `contains` on every row of both relations, and `is_subset` both ways
+/// when the schemas are equal, against per-row references.
+fn membership_matches_reference(ra: &Relation, rb: &Relation) {
+    for r in [ra, rb] {
+        for t in ra.rows().chain(rb.rows()) {
+            let expect = r.rows().any(|u| u == t);
+            prop_assert_eq!(r.contains(t), expect, "contains({:?}) on {:?}", t, r);
+        }
+    }
+    if ra.attrs() == rb.attrs() {
+        let subset = |x: &Relation, y: &Relation| x.rows().all(|t| y.rows().any(|u| u == t));
+        prop_assert_eq!(ra.is_subset(rb), subset(ra, rb));
+        prop_assert_eq!(rb.is_subset(ra), subset(rb, ra));
+    }
+}
+
 /// Schemas whose pairwise overlaps hit every key-width class: width-1
 /// (`b`), width-2 (`bc`), wide/width-3 (`cde`-style), plus the empty key
 /// (disjoint pair) and the degenerate `∅` schema for `{}`/`{()}` edges.
@@ -286,9 +305,10 @@ proptest! {
         prop_assert_eq!(proj.len() * proj.arity(), proj.data().len());
     }
 
-    /// The chunked key-compare semijoin agrees with the per-row reference
-    /// for every key width the schema pool produces (1, 2, wide, empty),
-    /// on small and pack-defeating values.
+    /// The key-index probe agrees with the per-row reference for every
+    /// key width the schema pool produces (1, 2, wide, empty), on small and
+    /// pack-defeating values: through the one-shot semijoin, the join, and
+    /// the membership checks `contains` and `is_subset`.
     #[test]
     fn kernel_semijoin_matches_reference_for_all_key_widths(
         ra in proptest::sample::select(kernel_schemas()).prop_flat_map(relation_over),
@@ -298,6 +318,9 @@ proptest! {
         prop_assert_eq!(rb.semijoin(&ra).to_vecs(), reference_semijoin(&rb, &ra));
         // Definition check against the (independently kernel-tested) join.
         prop_assert_eq!(ra.semijoin(&rb), ra.natural_join(&rb).project(ra.attrs()));
+        // Before and after is_subset has built the full-attribute indexes.
+        membership_matches_reference(&ra, &rb);
+        membership_matches_reference(&ra, &rb);
     }
 
     /// Selection-vector program execution (`semijoin_program_with`, fresh

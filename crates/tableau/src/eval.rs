@@ -79,8 +79,8 @@ fn search(
 ) {
     // pick the unassigned row with the fewest matching tuples
     let mut best: Option<(usize, Vec<usize>)> = None;
-    for row in 0..t.row_count() {
-        if assigned[row] != usize::MAX {
+    for (row, &slot) in assigned.iter().enumerate() {
+        if slot != usize::MAX {
             continue;
         }
         let matches: Vec<usize> = (0..universal.len())
