@@ -330,7 +330,6 @@ impl<V: Clone> PlanCache<V> {
     }
 
     /// `(hits, misses)` since construction.
-    #[cfg(test)]
     pub(crate) fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -386,9 +385,10 @@ impl FullReducerEngine {
         self.plans.len()
     }
 
-    /// `(hits, misses)` of the plan cache since construction.
-    #[cfg(test)]
-    pub(crate) fn cache_stats(&self) -> (u64, u64) {
+    /// `(hits, misses)` of the plan cache since construction: one count per
+    /// [`FullReducerEngine::plan`] lookup, cyclic verdicts included.
+    /// [`FullReducerEngine::clear_cache`] keeps the counts.
+    pub fn cache_stats(&self) -> (u64, u64) {
         self.plans.stats()
     }
 

@@ -23,8 +23,11 @@
 //!   accidental cross products inside connected residues), and the
 //!   compiled full-reducer plan for the extended schema `D ∪ (W)` — stored
 //!   in the *shared* plan cache, compiled once, reused across calls.
-//!   Per call, the engine materializes `state(W)`, runs the extended
-//!   plan's semijoin program through the reusable
+//!   Per call, the engine materializes `state(W)` with one
+//!   [`Relation::join_all`] — a left-deep join over `u32` row ids that
+//!   probes each survivor's own cached build table, so no intermediate
+//!   tuple is copied or sorted and `W`'s tuples are written once — then
+//!   runs the extended plan's semijoin program through the reusable
 //!   [`SelVec`](gyo_relation::SelVec) scratch, and either projects the
 //!   reduced `W` (when `X ⊆ W`) or joins up the extended tree.
 //!
@@ -67,6 +70,7 @@
 //! assert_eq!(engine.cached_treeified_count(), 1);
 //! engine.answer(&ring, &state, &x).unwrap();
 //! assert_eq!(engine.cached_treeified_count(), 1);
+//! assert_eq!(engine.treeified_cache_stats(), (1, 1)); // (hits, misses)
 //! ```
 
 use std::sync::Arc;
@@ -236,33 +240,36 @@ impl TreeifyEngine {
         self.inner.clear_cache();
     }
 
-    /// `(hits, misses)` of the treeified-plan cache since construction.
-    #[cfg(test)]
-    pub(crate) fn treeified_cache_stats(&self) -> (u64, u64) {
+    /// `(hits, misses)` of the treeified-plan cache since construction: a
+    /// hit per warm cyclic call, a miss per compiled treeify plan. Tree
+    /// calls leave these counts alone; their plans (and the cyclic verdicts
+    /// and extended-schema plans) are counted by
+    /// [`FullReducerEngine::cache_stats`] on [`TreeifyEngine::inner`].
+    /// [`TreeifyEngine::clear_cache`] keeps the counts.
+    pub fn treeified_cache_stats(&self) -> (u64, u64) {
         self.treeified.stats()
     }
 
-    /// `state(W) = π_W(⋈ of the survivors' states)`, joined in the plan's
-    /// connectivity order with each survivor pre-projected onto `Rᵢ ∩ W` —
-    /// the one data-dependent step cyclicity forces. The accumulated
-    /// attributes end up exactly `W` (the residue relations cover it), so
-    /// no final projection is needed.
+    /// `state(W) = π_W(⋈ of the survivors' states)` — the one
+    /// data-dependent step cyclicity forces — as one
+    /// [`Relation::join_all`] over the survivors in the plan's connectivity
+    /// order, each pre-projected onto `Rᵢ ∩ W`. The join runs over row ids
+    /// and probes each survivor's own cached build table, so on a warm
+    /// state only the projected survivors build anything; `W`'s tuples are
+    /// materialized and normalized once. The attributes end up exactly `W`
+    /// (the residue relations cover it), so no final projection is needed.
     fn materialize_w(&self, plan: &TreeifyPlan, state: &DbState) -> Relation {
-        let mut acc = Relation::identity();
-        for (i, proj) in &plan.join_order {
-            let joined = match proj {
-                Some(core) => acc.natural_join(&state.rel(*i).project(core)),
-                None => acc.natural_join(state.rel(*i)),
-            };
-            acc = joined;
-            if acc.is_empty() {
-                // The core join is empty: so is its projection — and so is
-                // the whole query; skip the remaining survivor joins.
-                return Relation::empty(plan.w.clone());
-            }
-        }
-        debug_assert_eq!(acc.attrs(), &plan.w, "residue relations cover W");
-        acc
+        let core: Vec<Relation> = plan
+            .join_order
+            .iter()
+            .map(|(i, proj)| match proj {
+                Some(core) => state.rel(*i).project(core),
+                None => state.rel(*i).clone(),
+            })
+            .collect();
+        let w = Relation::join_all(&core);
+        debug_assert_eq!(w.attrs(), &plan.w, "residue relations cover W");
+        w
     }
 
     /// Reduces the extended state `state ∪ (state(W))` with the compiled

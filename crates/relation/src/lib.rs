@@ -8,7 +8,8 @@
 //! algebra:
 //!
 //! * [`Relation`] — a set of tuples over an attribute set, with `⋈`, `π`,
-//!   `⋉`, and set operations;
+//!   `⋉`, set operations, and [`Relation::join_all`], the one-pass join of a
+//!   whole relation list over row ids;
 //! * [`DbState`] — a database state: one relation per relation schema of a
 //!   [`DbSchema`](gyo_schema::DbSchema);
 //! * [`universal`] — universal relations, the join-of-projections operator
@@ -58,18 +59,22 @@
 //!
 //! Row-at-a-time execution remains in exactly the places where a column
 //! decomposition has nothing to offer: hash-*building* (`KeyIndex`
-//! construction walks rows once), the one hash-table probe `KeyIndex::probe`
-//! (one streaming pass over the probe side, shared by `natural_join`, where
-//! match fan-out is data-dependent, the one-shot [`Relation::semijoin`]
-//! filter and [`Relation::is_subset`]), normalization of rows whose values
-//! are too wide to pack into `u64`/`u128` scalars
-//! ([`kernels::sort_dedup_packed`] falls back to an index-permutation
-//! sort), and the `Vec<Vec<u64>>` boundary shims.
+//! construction walks rows twice, counting then placing row ids), the one
+//! hash-table probe `KeyIndex::probe` (it reads each probe row's key through
+//! a caller's `(row, key col) → value` reader; `natural_join`, where match
+//! fan-out is data-dependent, the one-shot [`Relation::semijoin`] filter,
+//! [`Relation::is_subset`] and the row-id list join [`Relation::join_all`]
+//! all call it), normalization of rows whose values are too wide to pack
+//! into `u64`/`u128` scalars ([`kernels::sort_dedup_packed`] falls back to
+//! an index-permutation sort), and the `Vec<Vec<u64>>` boundary shims.
 //!
 //! The hot paths are cache-assisted: every [`Relation`] lazily memoizes, per
 //! key attribute set, its column positions and its hash-join build table, so
 //! repeated joins and semijoins against the same relation (or clones of it)
-//! skip the rebuild.
+//! skip the rebuild. A build table is laid out in compressed sparse rows:
+//! a map from each distinct key to the `(start, len)` range of its bucket
+//! in one `Vec<u32>` of row ids — two allocations per table, none per key
+//! (wide keys are still boxed once per distinct key).
 //!
 //! Values are plain `u64`; the library's semantic oracles only need equality
 //! on values, never arithmetic or ordering semantics.

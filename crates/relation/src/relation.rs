@@ -23,6 +23,10 @@
 //! The buffer sits behind an `Arc`, so cloning a relation is O(1) and all
 //! clones share both the tuple storage and the lazily built derivation
 //! caches (column positions, hash-join build tables, flat key columns).
+//! Build tables (`KeyIndex`) are compressed sparse rows: each distinct key
+//! maps to a range of one shared `u32` row-id array, so no key owns a
+//! `Vec`. [`Relation::join_all`] joins a whole list over those row ids and
+//! writes its tuples once, at the end.
 //!
 //! The only nested-vector conversions left are **boundaries**:
 //! [`Relation::new`] accepts nested vectors for ergonomic construction, and
@@ -31,6 +35,7 @@
 //! buffer.
 
 use std::fmt;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use gyo_schema::{AttrId, AttrSet, Catalog, FxHashMap};
@@ -45,94 +50,142 @@ fn pack2(a: u64, b: u64) -> u128 {
     (a as u128) << 64 | b as u128
 }
 
-/// A hash index over one key-attribute set: key values (in [`AttrSet`]
-/// column order) → indices of the tuples carrying them. Keys of width ≤ 2
-/// pack exactly into scalars, so building and probing never allocates per
-/// row; wider keys are boxed once per *distinct* key, never per tuple.
+/// Row ids (in build tables, join pair lists and [`Relation::join_all`]'s
+/// accumulator) are `u32`: every relation they index must fit.
+#[inline]
+fn assert_row_ids_fit(len: usize) {
+    assert!(
+        len <= u32::MAX as usize,
+        "pair indices are u32; row counts must fit (cf. SelVec::reset)"
+    );
+}
+
+/// A hash index over one key-attribute set, in compressed-sparse-row
+/// layout: a map from each distinct key (values in [`AttrSet`] column
+/// order) to the `(start, len)` range of its bucket in one shared `u32`
+/// row-id array. Buckets list their rows in ascending order. Keys of width
+/// ≤ 2 pack exactly into scalars, so the whole table is two allocations
+/// (map and row ids) for any row count; wider keys are boxed once per
+/// *distinct* key, never per tuple.
 #[derive(Debug)]
-pub(crate) enum KeyIndex {
-    /// Width-0 key: every tuple carries the empty key.
-    Empty(Vec<usize>),
+pub(crate) struct KeyIndex {
+    map: KeyMap,
+    /// Row ids grouped by key, each bucket ascending.
+    rows: Vec<u32>,
+}
+
+/// A bucket of a [`KeyIndex`]: the `(start, len)` range of its row ids.
+type Bucket = (u32, u32);
+
+/// A [`KeyIndex`]'s key → bucket map, by key width.
+#[derive(Debug)]
+enum KeyMap {
+    /// Width-0 key: every tuple carries the empty key (one bucket: all rows).
+    Empty,
     /// Width-1 key.
-    One(FxHashMap<u64, Vec<usize>>),
+    One(FxHashMap<u64, Bucket>),
     /// Width-2 key, packed into one `u128`.
-    Two(FxHashMap<u128, Vec<usize>>),
-    /// Width ≥ 3 (rare in tree schemas).
-    Wide(FxHashMap<Box<[u64]>, Vec<usize>>),
+    Two(FxHashMap<u128, Bucket>),
+    /// Width ≥ 3 (rare in tree schemas): the width, and the map.
+    Wide(usize, FxHashMap<Box<[u64]>, Bucket>),
+}
+
+/// Builds a CSR table in two passes over `n` rows: count each key's rows,
+/// turn the counts into bucket starts, then drop every row id into its
+/// bucket. Rows are visited in ascending order, so buckets come out sorted.
+fn csr<K: Hash + Eq>(n: usize, key: impl Fn(usize) -> K) -> (FxHashMap<K, Bucket>, Vec<u32>) {
+    let mut map: FxHashMap<K, Bucket> = FxHashMap::default();
+    for i in 0..n {
+        map.entry(key(i)).or_insert((0, 0)).1 += 1;
+    }
+    let mut start = 0u32;
+    for bucket in map.values_mut() {
+        let count = bucket.1;
+        *bucket = (start, 0);
+        start += count;
+    }
+    let mut rows = vec![0u32; n];
+    for i in 0..n {
+        let bucket = map.get_mut(&key(i)).expect("counted in pass one");
+        rows[(bucket.0 + bucket.1) as usize] = i as u32;
+        bucket.1 += 1;
+    }
+    (map, rows)
 }
 
 impl KeyIndex {
+    /// The build table over `rel`'s key columns `pos`.
     fn build(rel: &Relation, pos: &[usize]) -> Self {
-        match *pos {
-            [] => KeyIndex::Empty((0..rel.len).collect()),
+        assert_row_ids_fit(rel.len);
+        let (n, arity, data) = (rel.len, rel.arity, &rel.data[..]);
+        let (map, rows) = match *pos {
+            [] => (KeyMap::Empty, (0..n as u32).collect()),
             [p] => {
-                let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-                for (i, t) in rel.rows().enumerate() {
-                    map.entry(t[p]).or_default().push(i);
-                }
-                KeyIndex::One(map)
+                let (map, rows) = csr(n, |i| data[i * arity + p]);
+                (KeyMap::One(map), rows)
             }
             [p, q] => {
-                let mut map: FxHashMap<u128, Vec<usize>> = FxHashMap::default();
-                for (i, t) in rel.rows().enumerate() {
-                    map.entry(pack2(t[p], t[q])).or_default().push(i);
-                }
-                KeyIndex::Two(map)
+                let (map, rows) = csr(n, |i| pack2(data[i * arity + p], data[i * arity + q]));
+                (KeyMap::Two(map), rows)
             }
             _ => {
-                let mut map: FxHashMap<Box<[u64]>, Vec<usize>> = FxHashMap::default();
-                let mut scratch: Vec<u64> = Vec::with_capacity(pos.len());
-                for (i, t) in rel.rows().enumerate() {
-                    scratch.clear();
-                    scratch.extend(pos.iter().map(|&p| t[p]));
-                    if let Some(bucket) = map.get_mut(scratch.as_slice()) {
-                        bucket.push(i);
-                    } else {
-                        map.insert(scratch.clone().into_boxed_slice(), vec![i]);
-                    }
+                // Extract the keys flat first, so both passes hash borrowed
+                // slices; only the distinct keys are boxed afterwards.
+                let w = pos.len();
+                let mut keys = Vec::with_capacity(n * w);
+                for t in rel.rows() {
+                    keys.extend(pos.iter().map(|&p| t[p]));
                 }
-                KeyIndex::Wide(map)
+                let (map, rows) = csr(n, |i| &keys[i * w..(i + 1) * w]);
+                let map = map.into_iter().map(|(k, b)| (k.into(), b)).collect();
+                (KeyMap::Wide(w, map), rows)
             }
-        }
+        };
+        KeyIndex { map, rows }
     }
 
     /// The one probe over a build table, and the only place its width is
-    /// matched on the probe side. Streams `rel`'s rows in order, reads each
-    /// row's key at `pos` (the build key's width and column order), and
-    /// calls `f(i, row, hit)`: `hit` holds the build rows sharing that key
-    /// (all of them for the empty key), or is `None` on a miss. Callers
-    /// that only test membership never read the row list, so a miss or a
-    /// hit costs one hash lookup. Stops at the first `false` from `f`;
-    /// returns whether every call returned `true`.
+    /// matched on the probe side. For each probe row `i` in `0..n`, reads
+    /// its key through `key(i, k)` (the value of key column `k`, in the
+    /// build key's column order) and calls `f(i, hit)`: `hit` is the bucket
+    /// of build rows sharing that key ([`KeyIndex::rows`] lists them; the
+    /// empty key's bucket holds every row), or `None` on a miss. Callers
+    /// that only test membership never read the rows, so a miss or a hit
+    /// costs one hash lookup. `f` is called from one place, so it inlines
+    /// into the loop. Stops at the first `false` from `f`; returns whether
+    /// every call returned `true`.
     fn probe(
         &self,
-        rel: &Relation,
-        pos: &[usize],
-        mut f: impl FnMut(usize, &[u64], Option<&Vec<usize>>) -> bool,
+        n: usize,
+        key: impl Fn(usize, usize) -> u64,
+        mut f: impl FnMut(usize, Option<&Bucket>) -> bool,
     ) -> bool {
-        let mut rows = rel.rows().enumerate();
-        match self {
-            KeyIndex::Empty(all) => {
-                let hit = (!all.is_empty()).then_some(all);
-                rows.all(|(i, t)| f(i, t, hit))
-            }
-            KeyIndex::One(map) => {
-                let p = pos[0];
-                rows.all(|(i, t)| f(i, t, map.get(&t[p])))
-            }
-            KeyIndex::Two(map) => {
-                let (p, q) = (pos[0], pos[1]);
-                rows.all(|(i, t)| f(i, t, map.get(&pack2(t[p], t[q]))))
-            }
-            KeyIndex::Wide(map) => {
-                let mut key: Vec<u64> = Vec::with_capacity(pos.len());
-                rows.all(|(i, t)| {
-                    key.clear();
-                    key.extend(pos.iter().map(|&p| t[p]));
-                    f(i, t, map.get(key.as_slice()))
-                })
+        let all = (0, self.rows.len() as u32);
+        let mut wide: Vec<u64> = Vec::new();
+        for i in 0..n {
+            let hit = match &self.map {
+                KeyMap::Empty => (!self.rows.is_empty()).then_some(&all),
+                KeyMap::One(map) => map.get(&key(i, 0)),
+                KeyMap::Two(map) => map.get(&pack2(key(i, 0), key(i, 1))),
+                KeyMap::Wide(w, map) => {
+                    wide.resize(*w, 0);
+                    for (c, v) in wide.iter_mut().enumerate() {
+                        *v = key(i, c);
+                    }
+                    map.get(wide.as_slice())
+                }
+            };
+            if !f(i, hit) {
+                return false;
             }
         }
+        true
+    }
+
+    /// The build rows of a bucket [`KeyIndex::probe`] handed out, ascending.
+    #[inline]
+    fn rows(&self, &(start, len): &Bucket) -> &[u32] {
+        &self.rows[start as usize..(start + len) as usize]
     }
 }
 
@@ -608,6 +661,19 @@ impl Relation {
         self.derived(attrs, |c| &mut c.positions, || self.positions_of(attrs))
     }
 
+    /// The key reader [`KeyIndex::probe`] takes, over this relation's key
+    /// columns `pos`: `(row, key col) → value`, straight off the flat buffer.
+    /// The first two positions are copied by value, because the narrow
+    /// probe arms read only those: the copy stays in registers, where the
+    /// cached `pos` would be reloaded on every row (a probe callback writes
+    /// memory the compiler cannot tell apart from it).
+    #[inline]
+    fn key_reader<'a>(&'a self, pos: &'a [usize]) -> impl Fn(usize, usize) -> u64 + 'a {
+        let (data, arity) = (&self.data[..], self.arity);
+        let head = [pos.first(), pos.get(1)].map(|p| p.copied().unwrap_or(0));
+        move |i, k| data[i * arity + if k < 2 { head[k] } else { pos[k] }]
+    }
+
     /// The cached hash-join build table over `key ⊆ attrs(self)` (see
     /// [`KeyIndex`]), reused by every join and semijoin against this
     /// relation or its clones.
@@ -710,15 +776,13 @@ impl Relation {
 
         // Probe phase: stream matching row pairs into a bounded block
         // buffer, flushing each full block through the column-at-a-time
-        // assembly kernel. Probe keys are read straight off the row slices
+        // assembly kernel. Probe keys are read straight off the flat buffer
         // in one streaming pass — extracting a key column here would cost an
         // extra pass over the probe side, which one-shot joins never earn
         // back. The block bound keeps huge join outputs from materializing a
         // full pair list before assembly.
-        assert!(
-            probe.len <= u32::MAX as usize && build.len <= u32::MAX as usize,
-            "pair indices are u32; row counts must fit (cf. SelVec::reset)"
-        );
+        assert_row_ids_fit(probe.len);
+        assert_row_ids_fit(build.len);
         const FLUSH: usize = kernels::CHUNK * 16;
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(FLUSH);
         let mut data: Vec<u64> = Vec::new();
@@ -738,9 +802,11 @@ impl Relation {
             );
             pairs.clear();
         };
-        table.probe(probe, &probe_key, |pi, _, hit| {
-            if let Some(matches) = hit {
-                pairs.extend(matches.iter().map(|&bi| (pi as u32, bi as u32)));
+        table.probe(probe.len, probe.key_reader(&probe_key), |pi, hit| {
+            if let Some(bucket) = hit {
+                for &bi in table.rows(bucket) {
+                    pairs.push((pi as u32, bi));
+                }
                 if pairs.len() >= FLUSH {
                     flush(&mut pairs, &mut data);
                 }
@@ -750,6 +816,83 @@ impl Relation {
         flush(&mut pairs, &mut data);
         debug_assert_eq!(data.len(), rows * out_arity);
         Relation::from_row_major(out_attrs, rows, data)
+    }
+
+    /// The natural join of a whole list, `rels[0] ⋈ rels[1] ⋈ …` — equal to
+    /// the left fold of [`Relation::natural_join`] from
+    /// [`Relation::identity`], but computed over **row ids** in one
+    /// left-deep pass.
+    ///
+    /// The accumulator holds, per partial result, one `u32` row id for each
+    /// relation that contributed new attributes so far. Step `i` reads each
+    /// partial result's key values through those ids and probes `rels[i]`'s
+    /// own cached build table over `Rᵢ ∩ (earlier attributes)`, so on warm
+    /// relations no table is rebuilt; a relation whose attributes are all
+    /// earlier ones is a pure filter and adds no id. The tuples are
+    /// materialized and normalized once, at the end. No duplicates can
+    /// arise: every input is a set, so distinct id combinations give
+    /// distinct joined tuples. An empty intermediate ends the pass early.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some relation has more rows than a `u32` row id can name.
+    pub fn join_all(rels: &[Relation]) -> Relation {
+        for r in rels {
+            assert_row_ids_fit(r.len);
+        }
+        // Where each joined attribute is read from: its slot in the id
+        // rows, and the contributing relation's buffer, arity and column.
+        let mut source: FxHashMap<AttrId, (usize, &[u64], usize, usize)> = FxHashMap::default();
+        let mut seen = AttrSet::empty();
+        let (mut ids, mut next): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        let (mut width, mut n) = (0usize, 1usize); // {()}: one empty partial result
+        for r in rels {
+            let key = r.attrs.intersect(&seen);
+            let reads: Vec<_> = key.iter().map(|a| source[&a]).collect();
+            let adds = key.len() < r.arity;
+            let mut matched = 0usize;
+            next.clear();
+            let index = r.key_index(&key);
+            index.probe(
+                n,
+                |i, k| {
+                    let (slot, data, arity, col) = reads[k];
+                    data[ids[i * width + slot] as usize * arity + col]
+                },
+                |i, hit| {
+                    for &b in hit.map_or(&[][..], |bucket| index.rows(bucket)) {
+                        next.extend_from_slice(&ids[i * width..(i + 1) * width]);
+                        if adds {
+                            next.push(b);
+                        }
+                        matched += 1;
+                    }
+                    true
+                },
+            );
+            std::mem::swap(&mut ids, &mut next);
+            n = matched;
+            if n == 0 {
+                let all = rels.iter().fold(seen, |acc, r| acc.union(&r.attrs));
+                return Relation::empty(all);
+            }
+            if adds {
+                for (col, a) in r.attrs.iter().enumerate() {
+                    source.entry(a).or_insert((width, &r.data, r.arity, col));
+                }
+                width += 1;
+            }
+            seen = seen.union(&r.attrs);
+        }
+        let out_arity = seen.len();
+        let mut data = vec![0u64; n * out_arity];
+        for (j, a) in seen.iter().enumerate() {
+            let (slot, src, arity, col) = source[&a];
+            for (i, row) in ids.chunks_exact(width).enumerate() {
+                data[i * out_arity + j] = src[row[slot] as usize * arity + col];
+            }
+        }
+        Relation::from_row_major(seen, n, data)
     }
 
     /// Natural semijoin `self ⋉ other = π_self(self ⋈ other)`, computed
@@ -769,9 +912,11 @@ impl Relation {
         // gives the excess back.
         let mut data: Vec<u64> = Vec::with_capacity(self.len * self.arity);
         let mut kept = 0usize;
-        index.probe(self, &self.positions_cached(&shared), |_, t, hit| {
+        let pos = self.positions_cached(&shared);
+        let (rows, arity) = (&self.data[..], self.arity);
+        index.probe(self.len, self.key_reader(&pos), |i, hit| {
             if hit.is_some() {
-                data.extend_from_slice(t);
+                data.extend_from_slice(&rows[i * arity..(i + 1) * arity]);
                 kept += 1;
             }
             true
@@ -826,9 +971,8 @@ impl Relation {
             return self.is_empty() || other.len > 0;
         }
         let index = other.key_index(&other.attrs);
-        index.probe(self, &self.positions_cached(&self.attrs), |_, _, hit| {
-            hit.is_some()
-        })
+        let pos = self.positions_cached(&self.attrs);
+        index.probe(self.len, self.key_reader(&pos), |_, hit| hit.is_some())
     }
 
     /// Renders a small relation as an ASCII table for diagnostics.
@@ -1012,6 +1156,91 @@ mod tests {
         let j = r.natural_join(&s);
         assert_eq!(j.to_vecs(), vec![vec![1, 2, 3, 4, 0]]);
         assert_eq!(sj, j.project(r.attrs()));
+    }
+
+    /// The left fold of `natural_join` that `join_all` must equal.
+    fn fold(rels: &[Relation]) -> Relation {
+        rels.iter()
+            .fold(Relation::identity(), |acc, r| acc.natural_join(r))
+    }
+
+    #[test]
+    fn join_all_matches_the_natural_join_fold() {
+        let ab = Relation::new(attrs(&[0, 1]), vec![vec![1, 2], vec![1, 3], vec![2, 2]]);
+        let bc = Relation::new(attrs(&[1, 2]), vec![vec![2, 5], vec![3, 5], vec![3, 6]]);
+        let ca = Relation::new(attrs(&[0, 2]), vec![vec![1, 5], vec![2, 6]]);
+        let de = Relation::new(attrs(&[3, 4]), vec![vec![7, 8], vec![9, 9]]);
+        let abcd = Relation::new(
+            attrs(&[0, 1, 2, 3]),
+            vec![vec![1, 2, 5, 7], vec![1, 3, 5, 9], vec![1, 3, 6, 7]],
+        );
+        let parity = |a, b| Relation::new(attrs(&[a, b]), vec![vec![0, 1], vec![1, 0]]);
+        let nothing = Relation::empty(AttrSet::empty());
+        let cases: Vec<Vec<Relation>> = vec![
+            vec![],                                     // {()}
+            vec![Relation::identity()],                 // {()} member
+            vec![ab.clone(), nothing.clone()],          // {} member
+            vec![ab.clone(), bc.clone()],               // width-1 key
+            vec![ab.clone(), bc.clone(), ca.clone()],   // width-2 pure filter
+            vec![ab.clone(), de.clone()],               // cross product
+            vec![ab.clone(), bc.clone(), abcd.clone()], // width-3 key
+            vec![abcd.clone(), bc.clone(), ab.clone()], // filters inside the prefix
+            vec![ab.clone(), ab.clone(), Relation::identity(), de.clone()],
+            vec![parity(0, 1), parity(1, 2), parity(0, 2)], // empty at the last step
+            vec![ab.clone(), parity(0, 1), bc.clone(), de], // empty early
+        ];
+        for rels in &cases {
+            let got = Relation::join_all(rels);
+            assert_eq!(got, fold(rels), "{rels:?}");
+        }
+        let early = Relation::join_all(&cases[10]);
+        assert!(early.is_empty());
+        assert_eq!(early.attrs(), &attrs(&[0, 1, 2, 3, 4]), "all attributes");
+    }
+
+    #[test]
+    fn join_all_reuses_each_relations_cached_build() {
+        let ab = Relation::new(attrs(&[0, 1]), vec![vec![1, 2], vec![2, 3]]);
+        let bc = Relation::new(attrs(&[1, 2]), vec![vec![2, 5], vec![3, 6]]);
+        let rels = [ab, bc.clone()];
+        let first = Relation::join_all(&rels);
+        let idx = bc.key_index(&attrs(&[1]));
+        assert_eq!(Relation::join_all(&rels), first);
+        assert!(Arc::ptr_eq(&idx, &bc.key_index(&attrs(&[1]))));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// With values drawn from `1..3`, keys repeat heavily: the CSR probe
+        /// must hand every probe row exactly the build rows carrying its key,
+        /// in ascending order, for every key width — checked against nested
+        /// loops over the rows.
+        #[test]
+        fn csr_probe_returns_every_match_in_ascending_order(
+            build in proptest::collection::vec(proptest::collection::vec(1u64..3, 4), 0..40),
+            probe in proptest::collection::vec(proptest::collection::vec(1u64..3, 4), 0..20),
+            key in proptest::collection::vec(0usize..4, 0..=4),
+        ) {
+            let build = Relation::new(attrs(&[0, 1, 2, 3]), build);
+            let probe = Relation::new(attrs(&[0, 1, 2, 3]), probe);
+            let mut pos = key;
+            pos.sort_unstable();
+            pos.dedup();
+            let index = KeyIndex::build(&build, &pos);
+            let mut seen = 0usize;
+            index.probe(probe.len(), probe.key_reader(&pos), |i, hit| {
+                let t = probe.row(i);
+                let expect: Vec<u32> = (0..build.len() as u32)
+                    .filter(|&b| pos.iter().all(|&p| build.row(b as usize)[p] == t[p]))
+                    .collect();
+                assert_eq!(hit.map_or(&[][..], |b| index.rows(b)), &expect[..], "probe row {i}");
+                assert_eq!(hit.is_some(), !expect.is_empty(), "a hit is never empty");
+                seen += 1;
+                true
+            });
+            proptest::prop_assert_eq!(seen, probe.len());
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! against naive per-row reference implementations) and the columnar
 //! kernel laws (gather projection, chunked key-compare semijoins for key
 //! widths 1/2/wide, selection-vector program execution — each against a
-//! per-row reference, on small and on pack-defeating huge values).
+//! per-row reference, on small and on pack-defeating huge values), and the
+//! row-id list join `Relation::join_all` against the `natural_join` fold.
 
 use std::collections::BTreeSet;
 
@@ -359,5 +360,82 @@ proptest! {
         for (k, (g, e)) in got.iter().zip(&expect).enumerate() {
             prop_assert_eq!(g, e, "slot {}", k);
         }
+    }
+}
+
+/// A relation over `attrs` with values in `1..3`, so keys of every width
+/// repeat heavily and joins fan out. Over `∅` it is `{}` or `{()}`.
+fn dense_relation(attrs: Vec<u32>) -> impl Strategy<Value = Relation> {
+    let set = AttrSet::from_raw(&attrs);
+    let width = set.len();
+    proptest::collection::vec(proptest::collection::vec(1u64..3, width), 0..8)
+        .prop_map(move |tuples| Relation::new(set.clone(), tuples))
+}
+
+/// Schemas for relation lists: against the prefixes a list builds they
+/// give keys of width 0 (`j`, `∅`: cross products), 1, 2 and ≥ 3, and
+/// relations lying inside the prefix (pure filters).
+fn list_schemas() -> Vec<Vec<u32>> {
+    let mut pool = kernel_schemas();
+    pool.push(vec![0, 2]); // ac   (closes the triangle ab, bc, ca)
+    pool.push(vec![0, 1, 2, 3]); // abcd (width-3 key after bcd)
+    pool
+}
+
+/// Nested-loop reference natural join over the rows.
+fn reference_join(r: &Relation, s: &Relation) -> BTreeSet<Vec<u64>> {
+    let out = r.attrs().union(s.attrs());
+    let col = |rel: &Relation, a| rel.attrs().iter().position(|b| b == a);
+    let mut rows = BTreeSet::new();
+    for tr in r.rows() {
+        for ts in s.rows() {
+            let agree = r
+                .attrs()
+                .iter()
+                .enumerate()
+                .all(|(p, a)| col(s, a).is_none_or(|q| tr[p] == ts[q]));
+            if agree {
+                rows.insert(
+                    out.iter()
+                        .map(|a| col(r, a).map_or_else(|| ts[col(s, a).unwrap()], |p| tr[p]))
+                        .collect(),
+                );
+            }
+        }
+    }
+    rows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `join_all` equals the left fold of `natural_join` from `{()}` on
+    /// random relation lists: every key width, disconnected lists, pure
+    /// filters, `{}`/`{()}` members and intermediates that empty out.
+    #[test]
+    fn join_all_equals_the_natural_join_fold(
+        rels in proptest::collection::vec(
+            proptest::sample::select(list_schemas()).prop_flat_map(dense_relation), 0..7),
+    ) {
+        let fold = rels.iter().fold(Relation::identity(), |acc, r| acc.natural_join(r));
+        let got = Relation::join_all(&rels);
+        prop_assert_eq!(got.attrs(), fold.attrs());
+        prop_assert_eq!(&got, &fold);
+        // Built tables are cached: a second pass reuses them.
+        prop_assert_eq!(&Relation::join_all(&rels), &fold);
+    }
+
+    /// With values in `1..3` (heavily repeating keys), the CSR probe behind
+    /// `natural_join` and `join_all` finds every matching build row:
+    /// both agree with a nested-loop reference join.
+    #[test]
+    fn repeating_keys_join_like_nested_loops(
+        r in proptest::sample::select(list_schemas()).prop_flat_map(dense_relation),
+        s in proptest::sample::select(list_schemas()).prop_flat_map(dense_relation),
+    ) {
+        let expect: Vec<Vec<u64>> = reference_join(&r, &s).into_iter().collect();
+        prop_assert_eq!(r.natural_join(&s).to_vecs(), expect.clone());
+        prop_assert_eq!(Relation::join_all(&[r.clone(), s.clone()]).to_vecs(), expect);
+        prop_assert_eq!(r.semijoin(&s).to_vecs(), reference_semijoin(&r, &s));
     }
 }

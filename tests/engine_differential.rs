@@ -23,8 +23,8 @@
 use std::sync::OnceLock;
 
 use gyo::{
-    is_tree_schema, reduce_via_treeification, AttrSet, DbSchema, DbState, Engine,
-    FullReducerEngine, IncrementalEngine, NaiveEngine, TreeifyEngine,
+    is_tree_schema, reduce_via_treeification, AttrSet, Catalog, DbSchema, DbState, Engine,
+    FullReducerEngine, IncrementalEngine, NaiveEngine, Relation, TreeifyEngine,
 };
 use gyo_workloads::{
     aring_n, chain, engine_families, family_state, grid, random_tree_schema, star, tpch_like_cyclic,
@@ -261,6 +261,57 @@ proptest! {
                 run_family(fam.name, &fam.schema, seed ^ fam.schema.len() as u64, rows, domain, 4);
             }
         }
+    }
+}
+
+/// Cyclic schemas whose `state(W)` core join is awkward: a survivor with
+/// a GYO-deleted attribute, so it is projected before the join (`abc`
+/// loses `b`); a duplicated relation schema, whose twin GYO deletes, so it
+/// is reduced only through the extended tree; and a disconnected residue,
+/// so `W` is a cross product. In every triangle the closing relation is a
+/// pure filter of the core join.
+fn adversarial_schemas() -> Vec<(&'static str, DbSchema)> {
+    let mut cat = Catalog::alphabetic();
+    ["abc, cd, da", "ab, bc, ca, ab", "ab, bc, ca, xy, yz, zx"]
+        .into_iter()
+        .map(|s| (s, DbSchema::parse(s, &mut cat).expect("valid schema")))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn adversarial_residues_agree_dense(rows in 5usize..20, domain in 2u64..4, seed in any::<u64>()) {
+        for (label, d) in adversarial_schemas() {
+            run_family(label, &d, seed, rows, domain, 5);
+        }
+    }
+
+    #[test]
+    fn adversarial_residues_agree_sparse(rows in 4usize..13, domain in 16u64..48, seed in any::<u64>()) {
+        for (label, d) in adversarial_schemas() {
+            run_family(label, &d, seed, rows, domain, 5);
+        }
+    }
+}
+
+#[test]
+fn parity_instance_has_an_empty_core_join() {
+    // Pairwise consistent, globally empty: a ≠ b, b ≠ c, c ≠ a over a
+    // two-value domain. Every relation survives every semijoin, yet the
+    // core join is empty, and so is every reduced relation.
+    let mut cat = Catalog::alphabetic();
+    let d = DbSchema::parse("ab, bc, ca", &mut cat).unwrap();
+    for (lo, hi) in [(0, 1), (7, u64::MAX)] {
+        let rels = (0..d.len())
+            .map(|k| Relation::new(d.rel(k).clone(), vec![vec![lo, hi], vec![hi, lo]]))
+            .collect();
+        let state = DbState::new(&d, rels);
+        let x = span_target(&d);
+        check_engines("parity", &d, &state, &x);
+        let reduced = treeify_engine().reduce(&d, &state).unwrap();
+        assert!(reduced.rels().iter().all(Relation::is_empty), "{lo}/{hi}");
     }
 }
 
