@@ -4,9 +4,12 @@
 //! (growing with tail length and data size); the CC-pruned program's cost
 //! is flat in the tail length. "The UR property is helpful to the extent
 //! that CC(D, X) is smaller than D." The `engine_tail` group replays the
-//! sweep on a tree family through the cached full-reducer engine: even a
-//! cached plan pays `2·(n−1)` semijoins for the unpruned chain, while the
-//! pruned plan's cost is flat — pruning and plan caching compose.
+//! sweep on a tree family through the cached full-reducer engine. On the
+//! unpruned chain the engine's answer gathers and joins only the two
+//! relations `X` needs and runs one downward semijoin, but it still runs
+//! the whole upward pass, `n−1` semijoins, so its cost still grows with
+//! the tail; the pruned plan's cost is flat — pruning and plan caching
+//! compose.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gyo_bench::{bench_rng, pruning_family, tree_pruning_family};

@@ -20,6 +20,14 @@
 //!   positions resolved ahead of time), keyed by the schema's exact
 //!   relation-list identity, and reuses it across calls.
 //!
+//! An answer works only on the part of the rooted join tree that `X`
+//! needs, its *read set* (about `CC(D, X)`, Theorem 3.3(ii)): the whole
+//! upward pass, then the downward steps into the read nodes and the path
+//! down to them only ([`semijoin_select`]), a gather of the read slots
+//! alone ([`semijoin_gather`]), and a join of those slots — lossless, as
+//! the join of a connected subtree of a join tree (Corollary 5.2). A
+//! reduce runs the whole program ([`semijoin_program_with`]).
+//!
 //! A fourth engine lives in [`crate::treeify_engine`]:
 //! [`TreeifyEngine`](crate::TreeifyEngine), which delegates tree schemas
 //! to a [`FullReducerEngine`] and answers cyclic ones through a cached
@@ -35,11 +43,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use gyo_reduce::Reduction;
-use gyo_relation::{semijoin_program_with, DbState, ExecScratch, Relation, SemijoinStep};
+use gyo_relation::{
+    semijoin_gather, semijoin_program_with, semijoin_select, DbState, ExecScratch, Relation,
+    SemijoinStep,
+};
 use gyo_schema::{AttrSet, Catalog, DbSchema, FxHashMap, RootedTree};
 
 use crate::yannakakis::{
-    derive_rooted_tree, full_reduce, join_up_tree, reducer_order, solve_tree_query,
+    derive_rooted_tree, full_reduce, join_up_tree, read_set, reducer_order, solve_tree_query,
+    ReadSet,
 };
 
 /// Why an engine (or any tree-only entry point of this crate) could not
@@ -264,6 +276,19 @@ impl FullReducerPlan {
     pub fn rooted(&self) -> &RootedTree {
         &self.rooted
     }
+
+    /// The steps an answer over `read` runs: the whole upward pass, then
+    /// the downward steps into the nodes `read` marks — the read nodes and
+    /// the path from the root to `top`. Afterwards every read node is
+    /// globally consistent; the others are not needed.
+    pub(crate) fn steps_toward<'a>(
+        &'a self,
+        read: &'a ReadSet,
+    ) -> impl Iterator<Item = &'a SemijoinStep> {
+        let (up, down) = self.steps.split_at(self.steps.len() / 2);
+        up.iter()
+            .chain(down.iter().filter(|step| read.down[step.target()]))
+    }
 }
 
 /// The one plan-cache policy of the cached engines: values keyed by a
@@ -392,25 +417,26 @@ impl FullReducerEngine {
         self.plans.stats()
     }
 
-    /// Runs a compiled semijoin program over `rels` through the engine's
-    /// reusable selection-vector scratch (falling back to a per-call
-    /// scratch under contention). Shared by the full-reducer path and the
-    /// treeify engine's extended-schema path.
-    pub(crate) fn run_steps(&self, rels: &mut [Relation], steps: &[SemijoinStep]) {
+    /// Runs `f` with the engine's reusable selection-vector scratch
+    /// (falling back to a per-call scratch under contention). Shared by the
+    /// reduce and answer paths of tree schemas and of the treeify engine's
+    /// extended schemas.
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut ExecScratch) -> R) -> R {
         match self.scratch.try_lock() {
-            Ok(mut scratch) => semijoin_program_with(rels, steps, &mut scratch),
+            Ok(mut scratch) => f(&mut scratch),
             // A run panicked while holding the scratch. Reusing it is sound:
             // every run resets each slot's selection and every step re-arms
             // its membership structure before reading it.
-            Err(TryLockError::Poisoned(poisoned)) => {
-                semijoin_program_with(rels, steps, &mut poisoned.into_inner())
-            }
+            Err(TryLockError::Poisoned(poisoned)) => f(&mut poisoned.into_inner()),
             // Another thread is mid-reduction on this engine: run with a
             // fresh scratch instead of serializing behind the lock.
-            Err(TryLockError::WouldBlock) => {
-                semijoin_program_with(rels, steps, &mut ExecScratch::new())
-            }
+            Err(TryLockError::WouldBlock) => f(&mut ExecScratch::new()),
         }
+    }
+
+    /// Runs a compiled semijoin program over `rels` in place.
+    pub(crate) fn run_steps(&self, rels: &mut [Relation], steps: &[SemijoinStep]) {
+        self.with_scratch(|scratch| semijoin_program_with(rels, steps, scratch));
     }
 
     pub(crate) fn reduce_with_plan(
@@ -424,18 +450,23 @@ impl FullReducerEngine {
         DbState::new(d, rels)
     }
 
-    /// The full answer pipeline over an already-compiled plan: reduce, then
-    /// join up the tree with early projection. Shared by
-    /// [`Engine::answer`] and the treeify engine's delegation path.
+    /// The answer path over an already-compiled plan for `d`, whose
+    /// relation states are `rels`: only the part of the join tree that `X`
+    /// needs (its read set) is reduced toward, gathered and joined. Shared
+    /// by [`Engine::answer`] and both routes of the treeify engine.
     pub(crate) fn answer_with_plan(
         &self,
         d: &DbSchema,
-        state: &DbState,
+        mut rels: Vec<Relation>,
         x: &AttrSet,
         plan: &FullReducerPlan,
     ) -> Relation {
-        let reduced = self.reduce_with_plan(d, state, plan);
-        join_up_tree(d, &reduced, x, plan.rooted())
+        let read = read_set(d, x, plan.rooted());
+        self.with_scratch(|scratch| {
+            semijoin_select(&rels, plan.steps_toward(&read), scratch);
+            semijoin_gather(&mut rels, read.nodes.iter().copied(), scratch);
+        });
+        join_up_tree(&rels, x, plan.rooted(), &read)
     }
 }
 
@@ -455,7 +486,7 @@ impl Engine for FullReducerEngine {
             "target X must be a subset of U(D)"
         );
         let plan = self.plan(d)?;
-        Ok(self.answer_with_plan(d, state, x, &plan))
+        Ok(self.answer_with_plan(d, state.rels().to_vec(), x, &plan))
     }
 }
 
@@ -637,6 +668,36 @@ mod tests {
                 };
                 assert_eq!((node[left], node[right]), (step.target(), step.source()));
                 node.push(node[left]);
+            }
+        }
+    }
+
+    #[test]
+    fn answer_steps_reach_only_the_read_set_and_its_path() {
+        // chain(n) is rooted at its first relation; X = {a_i, a_j} reads
+        // relations i..j, with top = i. The answer runs the whole upward
+        // pass, then downward steps into nodes 1..j only: the path down to
+        // top and the read nodes below it.
+        let n = 10;
+        let d = gyo_workloads::chain(n);
+        let e = FullReducerEngine::new();
+        let plan = e.plan(&d).unwrap();
+        for i in 0..n as u32 {
+            for j in i + 1..=n as u32 {
+                let read = read_set(&d, &AttrSet::from_raw(&[i, j]), plan.rooted());
+                let steps: Vec<&SemijoinStep> = plan.steps_toward(&read).collect();
+                let (up, down) = steps.split_at(n - 1);
+                assert!(
+                    up.iter().copied().eq(&plan.steps()[..n - 1]),
+                    "whole upward pass"
+                );
+                let mut into: Vec<usize> = down.iter().map(|step| step.target()).collect();
+                into.sort_unstable();
+                assert_eq!(
+                    into,
+                    (1..j as usize).collect::<Vec<_>>(),
+                    "X = {{a{i}, a{j}}}"
+                );
             }
         }
     }

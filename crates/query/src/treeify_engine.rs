@@ -28,8 +28,10 @@
 //!   probes each survivor's own cached build table, so no intermediate
 //!   tuple is copied or sorted and `W`'s tuples are written once — then
 //!   runs the extended plan's semijoin program through the reusable
-//!   [`SelVec`](gyo_relation::SelVec) scratch, and either projects the
-//!   reduced `W` (when `X ⊆ W`) or joins up the extended tree.
+//!   [`SelVec`](gyo_relation::SelVec) scratch. An answer takes the tree
+//!   answer path on the extended schema: it reduces toward, gathers and
+//!   joins only the part of the extended join tree that `X` needs — when
+//!   `X ⊆ W` that is typically `W` alone.
 //!
 //! The cyclic verdict that routes a schema onto the treeify path is the
 //! [`EngineError::Cyclic`] diagnostic the inner engine caches — the stuck
@@ -79,7 +81,6 @@ use gyo_relation::{DbState, Relation};
 use gyo_schema::{AttrSet, DbSchema};
 
 use crate::engine::{Engine, EngineError, FullReducerEngine, FullReducerPlan, PlanCache};
-use crate::yannakakis::join_up_tree;
 
 /// A compiled treeification plan for one **cyclic** schema: everything
 /// about `D ∪ (U(GR(D)))` that does not depend on data.
@@ -272,13 +273,11 @@ impl TreeifyEngine {
         w
     }
 
-    /// Reduces the extended state `state ∪ (state(W))` with the compiled
-    /// plan; returns the reduced relation list (original relations first,
-    /// `W` last).
-    fn reduce_extended(&self, plan: &TreeifyPlan, state: &DbState) -> Vec<Relation> {
+    /// The extended state `state ∪ (state(W))`: the original relations
+    /// first, `W` last.
+    fn extended_state(&self, plan: &TreeifyPlan, state: &DbState) -> Vec<Relation> {
         let mut rels = state.rels().to_vec();
         rels.push(self.materialize_w(plan, state));
-        self.inner.run_steps(&mut rels, plan.inner.steps());
         rels
     }
 }
@@ -292,7 +291,8 @@ impl Engine for TreeifyEngine {
         Ok(match self.route(d) {
             Route::Tree(plan) => self.inner.reduce_with_plan(d, state, &plan),
             Route::Cyclic(plan) => {
-                let mut rels = self.reduce_extended(&plan, state);
+                let mut rels = self.extended_state(&plan, state);
+                self.inner.run_steps(&mut rels, plan.inner.steps());
                 rels.truncate(d.len());
                 DbState::new(d, rels)
             }
@@ -305,18 +305,16 @@ impl Engine for TreeifyEngine {
             "target X must be a subset of U(D)"
         );
         Ok(match self.route(d) {
-            Route::Tree(plan) => self.inner.answer_with_plan(d, state, x, &plan),
-            Route::Cyclic(plan) => {
-                let rels = self.reduce_extended(&plan, state);
-                // After full reduction the W slot holds π_W(⋈D); when the
-                // target fits inside W, one projection finishes the query.
-                if x.is_subset(&plan.w) {
-                    rels.last().expect("extended state is nonempty").project(x)
-                } else {
-                    let reduced = DbState::new(&plan.extended, rels);
-                    join_up_tree(&plan.extended, &reduced, x, plan.inner.rooted())
-                }
-            }
+            Route::Tree(plan) => self
+                .inner
+                .answer_with_plan(d, state.rels().to_vec(), x, &plan),
+            // The extended schema is a tree: the same answer path.
+            Route::Cyclic(plan) => self.inner.answer_with_plan(
+                &plan.extended,
+                self.extended_state(&plan, state),
+                x,
+                &plan.inner,
+            ),
         })
     }
 }
@@ -500,6 +498,23 @@ mod tests {
         }
         let x = AttrSet::parse("ab", &mut cat).unwrap();
         assert!(engine.answer(&d, &state, &x).unwrap().is_empty());
+    }
+
+    #[test]
+    fn targets_inside_w_read_w_alone() {
+        // The extended join tree hangs every ring relation off W, so a
+        // target inside W that no single ring relation holds reads W alone.
+        let mut cat = Catalog::alphabetic();
+        let d = db("ab, bc, cd, da, ax, cy", &mut cat);
+        let engine = TreeifyEngine::new();
+        let err = engine.inner().plan(&d).unwrap_err();
+        let plan = engine.treeified_plan(&d, &err);
+        for xs in ["ac", "bd", "abc"] {
+            let x = AttrSet::parse(xs, &mut cat).unwrap();
+            let rooted = plan.tree_plan().rooted();
+            let read = crate::yannakakis::read_set(plan.extended(), &x, rooted);
+            assert_eq!(read.nodes, [d.len()], "X = {xs}");
+        }
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! projection, never materializing more columns than `X` plus the
 //! attributes still needed by unjoined subtrees.
 //!
+//! Only part of the tree is joined: its *read set*, the connected
+//! subtree that GYO leaf elimination with `X` sacred leaves behind. On a
+//! tree schema only `CC(D, X) = GR(D, X)` matters for `(D, X)`
+//! (Theorem 3.3(ii)), and the join of a connected subtree of a join tree is
+//! lossless (Corollary 5.2), so joining the read set, rooted at its top
+//! node, answers the query. The cached engine's answers use the same read
+//! set to skip downward semijoins and gathers outside it.
+//!
 //! Execution here is deliberately **per-call and operator-at-a-time**
 //! (each semijoin/join/projection runs through `gyo_relation`'s columnar
 //! kernels, but every step materializes its result): this module is the
@@ -92,9 +100,10 @@ fn full_reduce_on_rooted(d: &DbSchema, state: &DbState, rooted: &RootedTree) -> 
     DbState::new(d, rels)
 }
 
-/// Solves `(D, X)` on a tree schema: full reduction, then joins up the tree
-/// with early projection onto `X ∪ (attributes shared with the not-yet-
-/// joined part)`. Output-sensitive in the Yannakakis sense. Returns
+/// Solves `(D, X)` on a tree schema: full reduction, then joins the part
+/// of the join tree that `X` needs (its read set) with early
+/// projection onto `X ∪ (attributes shared with the not-yet-joined
+/// part)`. Output-sensitive in the Yannakakis sense. Returns
 /// [`EngineError::Cyclic`] when `d` is cyclic.
 ///
 /// # Panics
@@ -111,24 +120,35 @@ pub fn solve_tree_query(
     );
     let rooted = derive_rooted_tree(d)?;
     let reduced = full_reduce_on_rooted(d, state, &rooted);
-    Ok(join_up_tree(d, &reduced, x, &rooted))
+    let read = read_set(d, x, &rooted);
+    Ok(join_up_tree(reduced.rels(), x, &rooted, &read))
 }
 
-/// The join phase of the Yannakakis solver: joins a **fully reduced** state
-/// up the rooted join tree with early projection onto `X ∪ (attributes
-/// still needed by unjoined subtrees)`, then projects onto `X`.
-pub(crate) fn join_up_tree(
-    d: &DbSchema,
-    reduced: &DbState,
-    x: &AttrSet,
-    rooted: &RootedTree,
-) -> Relation {
-    if d.is_empty() {
-        // The join of no relations is {()}, and X ⊆ U(∅) = ∅.
-        return Relation::identity();
-    }
-    // subtree_x[v] = attributes of X present in the subtree rooted at v
-    // (used to prune columns as joins climb toward the root).
+/// The part of a rooted join tree that answering `(D, X)` reads — see
+/// [`read_set`].
+pub(crate) struct ReadSet {
+    /// The read nodes in post-order; the last one is `top`.
+    pub(crate) nodes: Vec<usize>,
+    /// Per node: whether the downward pass must reach it, because it is
+    /// read or lies on the path from the root to `top`.
+    pub(crate) down: Vec<bool>,
+    /// Per node `v`: `X ∩ U(subtree of v)`.
+    subtree_x: Vec<AttrSet>,
+}
+
+/// The relations of `d` that answering `(D, X)` joins, on the rooted join
+/// tree `rooted`: GYO leaf elimination with `X` sacred.
+///
+/// `top` is the first node in post-order whose subtree holds all of `X`.
+/// The read set is `top`, plus each child of a read node whose subtree's
+/// `X`-attributes are not all in that parent: a child whose subtree adds
+/// no `X`-attribute beyond its parent's is an ear, and dropping it loses
+/// nothing of `π_X`. The set is connected and covers `X`, so on a globally
+/// consistent state its join is lossless (Corollary 5.2) and projects onto
+/// `π_X(⋈D)` — the canonical connection `CC(D, X) = GR(D, X)` of
+/// Theorem 3.3(ii) is all a tree query needs. On the empty schema the set
+/// is empty.
+pub(crate) fn read_set(d: &DbSchema, x: &AttrSet, rooted: &RootedTree) -> ReadSet {
     let n = d.len();
     let mut subtree_x: Vec<AttrSet> = (0..n).map(|v| d.rel(v).intersect(x)).collect();
     for &v in &rooted.post_order {
@@ -138,29 +158,67 @@ pub(crate) fn join_up_tree(
             subtree_x[parent] = merged;
         }
     }
-
-    // acc[v]: the running join of v's subtree, projected onto
-    // subtree_x[v] ∪ (Rᵥ ∩ parent's schema) — enough for X and for the
-    // upcoming connection to the parent.
-    let mut acc: Vec<Option<Relation>> = (0..n).map(|v| Some(reduced.rel(v).clone())).collect();
-    for &v in &rooted.post_order {
-        if v == rooted.root {
-            continue;
+    let mut read = vec![false; n];
+    let mut down = vec![false; n];
+    if let Some(&top) = rooted.post_order.iter().find(|&&v| subtree_x[v] == *x) {
+        read[top] = true;
+        // Reverse post-order visits every parent before its children.
+        for &v in rooted.post_order.iter().rev() {
+            let parent = rooted.parent[v];
+            if v != rooted.root && read[parent] && !subtree_x[v].is_subset(d.rel(parent)) {
+                read[v] = true;
+            }
         }
+        down.clone_from(&read);
+        let mut v = top;
+        while v != rooted.root {
+            down[v] = true;
+            v = rooted.parent[v];
+        }
+    }
+    ReadSet {
+        nodes: rooted
+            .post_order
+            .iter()
+            .copied()
+            .filter(|&v| read[v])
+            .collect(),
+        down,
+        subtree_x,
+    }
+}
+
+/// The join phase of the Yannakakis solver: joins the [`read_set`] slots
+/// of `rels` up the join tree, rooted at `top`, projecting each subtree's
+/// running join onto its `X`-attributes plus those it shares with its
+/// parent, then projects onto `X`. Only the read slots are looked at, and
+/// they must be globally consistent (`rels[v] = π_{Rᵥ}(⋈D)`); the other
+/// slots may hold anything. The join of no relations is `{()}`.
+pub(crate) fn join_up_tree(
+    rels: &[Relation],
+    x: &AttrSet,
+    rooted: &RootedTree,
+    read: &ReadSet,
+) -> Relation {
+    let Some((&top, below)) = read.nodes.split_last() else {
+        // The empty schema: X ⊆ U(∅) = ∅.
+        return Relation::identity();
+    };
+    // acc[v]: the running join of v's read subtree, once a child joined in.
+    let mut acc: Vec<Option<Relation>> = vec![None; rels.len()];
+    for &v in below {
         let parent = rooted.parent[v];
-        let keep = subtree_x[v].union(&d.rel(v).intersect(d.rel(parent)));
-        let mine = acc[v].take().expect("each node joined once");
-        let pruned = mine.project(&keep.intersect(mine.attrs()));
-        let parent_acc = acc[parent].take().expect("parent still pending");
+        let mine = acc[v].take().unwrap_or_else(|| rels[v].clone());
+        let keep = read.subtree_x[v].union(&rels[v].attrs().intersect(rels[parent].attrs()));
+        let pruned = mine.project(&keep);
+        let parent_acc = acc[parent].take().unwrap_or_else(|| rels[parent].clone());
         acc[parent] = Some(parent_acc.natural_join(&pruned));
     }
-    let root_acc = acc[rooted.root]
-        .take()
-        .expect("root accumulates everything");
-    if root_acc.is_empty() {
+    let top_acc = acc[top].take().unwrap_or_else(|| rels[top].clone());
+    if top_acc.is_empty() {
         return Relation::empty(x.clone());
     }
-    root_acc.project(x)
+    top_acc.project(x)
 }
 
 #[cfg(test)]
@@ -296,6 +354,139 @@ mod tests {
                 .find(|&r| p.schema_of(r) == d.rel(k) && rels[r].is_subset(state.rel(k)))
                 .expect("node version exists");
             assert_eq!(&rels[last], reduced.rel(k), "node {k}");
+        }
+    }
+
+    /// The read set of `(d, x)` on the plan's rooted join tree.
+    fn read_of(d: &DbSchema, x: &AttrSet) -> ReadSet {
+        read_set(d, x, &derive_rooted_tree(d).unwrap())
+    }
+
+    #[test]
+    fn chain_reads_the_path_between_the_targets() {
+        // chain(n) is a_k a_{k+1} for k < n; {a_i, a_j} needs exactly the
+        // j − i relations from a_i a_{i+1} to a_{j−1} a_j.
+        let n = 12;
+        let d = gyo_workloads::chain(n);
+        for i in 0..=n as u32 {
+            for j in i + 1..=n as u32 {
+                let read = read_of(&d, &AttrSet::from_raw(&[i, j]));
+                let want: Vec<usize> = (i as usize..j as usize).collect();
+                let mut got = read.nodes.clone();
+                got.sort_unstable();
+                assert_eq!(got, want, "X = {{a{i}, a{j}}}");
+            }
+        }
+    }
+
+    #[test]
+    fn benchmark_tree_targets_read_their_canonical_connection() {
+        // The tree_warm schemas with the benchmark's two targets each: two
+        // attributes of the largest component, half its attribute order
+        // apart. The read set has |GR(D, X)| relations — except for the
+        // star's second target, whose two relations hang off a third, the
+        // root, that holds no target attribute.
+        let mut shape = StdRng::seed_from_u64(0x7EE5);
+        let cases = [
+            ("chain128", gyo_workloads::chain(128), [64, 64]),
+            (
+                "wide_chain32",
+                gyo_workloads::wide_chain(32, 6, 3),
+                [16, 16],
+            ),
+            ("tpch", gyo_workloads::tpch_like(), [2, 4]),
+            (
+                "random_tree64",
+                gyo_workloads::random_tree_schema(&mut shape, 64, 128, 0.4),
+                [5, 8],
+            ),
+            ("star64", gyo_workloads::star(64), [1, 3]),
+        ];
+        for (label, d, want) in cases {
+            let component = d
+                .connected_components()
+                .into_iter()
+                .max_by_key(Vec::len)
+                .unwrap();
+            let u = component
+                .iter()
+                .fold(AttrSet::empty(), |acc, &i| acc.union(d.rel(i)));
+            let half = u.len() / 2;
+            for (t, want) in want.into_iter().enumerate() {
+                let i = t * half / 2;
+                let x = AttrSet::from_iter([u.as_slice()[i], u.as_slice()[i + half]]);
+                let read = read_of(&d, &x).nodes.len();
+                let cc = gyo_reduce(&d, &x).survivors.len();
+                assert_eq!(read, want, "{label} target {t}");
+                if label != "star64" || t == 0 {
+                    assert_eq!(read, cc, "{label} target {t}: |GR(D, X)|");
+                } else {
+                    assert_eq!(cc, 2, "{label} target {t}: |GR(D, X)|");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn read_set_edge_cases() {
+        let mut cat = Catalog::alphabetic();
+        // X = ∅ or inside one relation reads one relation; a target at
+        // both ends of the chain reads all of it.
+        let d = db("ab, bc, cd, de", &mut cat);
+        for (xs, want) in [("", 1), ("bc", 1), ("c", 1), ("ae", 4)] {
+            let x = AttrSet::parse(xs, &mut cat).unwrap();
+            assert_eq!(read_of(&d, &x).nodes.len(), want, "X = {xs}");
+        }
+        // Two components joined by an empty-key tree edge: the read set
+        // crosses it.
+        let d = db("ab, bc, xy, yz", &mut cat);
+        let x = AttrSet::parse("az", &mut cat).unwrap();
+        let read = read_of(&d, &x);
+        let covered = read
+            .nodes
+            .iter()
+            .fold(AttrSet::empty(), |acc, &v| acc.union(d.rel(v)));
+        assert!(x.is_subset(&covered));
+        // The empty schema reads nothing.
+        assert!(read_of(&DbSchema::empty(), &AttrSet::empty())
+            .nodes
+            .is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// On random trees and random targets, the read set is connected
+        /// in the join tree — every read node but the last, `top`, has a
+        /// read parent — and covers X; the downward pass reaches every
+        /// read node and every ancestor of `top`.
+        #[test]
+        fn read_set_is_connected_and_covers_x(
+            n in 1usize..16,
+            seed in proptest::prelude::any::<u64>(),
+            picks in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..4),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let d = gyo_workloads::random_tree_schema(&mut rng, n, 2 * n, 0.4);
+            let u = d.attributes();
+            let x = AttrSet::from_iter(picks.iter().map(|&p| u.as_slice()[p as usize % u.len()]));
+            let rooted = derive_rooted_tree(&d).unwrap();
+            let read = read_set(&d, &x, &rooted);
+            let (&top, below) = read.nodes.split_last().expect("nonempty schema");
+            for &v in below {
+                let parent = rooted.parent[v];
+                proptest::prop_assert!(read.nodes.contains(&parent), "node {} hangs off", v);
+            }
+            let covered = read.nodes.iter().fold(AttrSet::empty(), |acc, &v| acc.union(d.rel(v)));
+            proptest::prop_assert!(x.is_subset(&covered));
+            let mut v = top;
+            while v != rooted.root {
+                proptest::prop_assert!(read.down[v]);
+                v = rooted.parent[v];
+            }
+            for &v in &read.nodes {
+                proptest::prop_assert!(read.down[v] || v == rooted.root);
+            }
         }
     }
 

@@ -30,9 +30,13 @@
 //! steps *and* across whole program runs, so after warm-up (first run at a
 //! given shape) a full-reducer pass over k relations performs **zero heap
 //! allocation per step** — the repo-level allocation-counter test
-//! (`crates/relation/tests/alloc.rs`) pins this down. Surviving tuples are
-//! materialized once, at the end, and only for slots that actually lost
-//! tuples.
+//! (`crates/relation/tests/alloc.rs`) pins this down. A run has two
+//! halves: [`semijoin_select`] runs the steps over the selections, and
+//! [`semijoin_gather`] materializes the surviving tuples once, at the end,
+//! only for the slots the caller lists and only where tuples were lost.
+//! [`semijoin_program_with`] is the two in a row over every step and slot;
+//! the engine's answer path selects a subsequence of the program and
+//! gathers only the relations its join-up reads.
 //!
 //! Because the key columns are cached *on the relations* (and shared by
 //! clones), repeated executions over the same state — the plan-cache usage
@@ -136,6 +140,9 @@ fn hash_wide(key: &[u64]) -> u64 {
 /// new relation), slots are overwritten — which is exactly the
 /// Bernstein–Chiu reading where each site updates its own state.
 ///
+/// This is [`semijoin_select`] over every step followed by
+/// [`semijoin_gather`] of every slot.
+///
 /// The caller owns the scratch: selection vectors and membership buffers
 /// are reused across calls, making every step allocation-free after the
 /// first run at a given shape. A one-off run passes
@@ -150,8 +157,28 @@ pub fn semijoin_program_with(
     steps: &[SemijoinStep],
     scratch: &mut ExecScratch,
 ) {
+    semijoin_select(rels, steps, scratch);
+    semijoin_gather(rels, 0..rels.len(), scratch);
+}
+
+/// The selection half of a program run: resets one [`SelVec`] per slot
+/// of `rels` to "every row", then runs each step over the selections
+/// alone — no tuple moves. Afterwards the scratch holds, per slot, the
+/// rows that survive the steps; [`semijoin_gather`] materializes them.
+///
+/// Steps come as an iterator, so a caller can run a filtered subsequence
+/// of a compiled program without collecting it.
+///
+/// # Panics
+///
+/// As [`semijoin_program_with`].
+pub fn semijoin_select<'a>(
+    rels: &[Relation],
+    steps: impl IntoIterator<Item = &'a SemijoinStep>,
+    scratch: &mut ExecScratch,
+) {
     scratch.ensure_slots(rels.len());
-    for (sel, rel) in scratch.sel.iter_mut().zip(rels.iter()) {
+    for (sel, rel) in scratch.sel.iter_mut().zip(rels) {
         sel.reset(rel.len());
     }
     for step in steps {
@@ -162,9 +189,26 @@ pub fn semijoin_program_with(
         );
         apply_step(rels, scratch, step);
     }
-    for (rel, sel) in rels.iter_mut().zip(&scratch.sel) {
-        if sel.len() < rel.len() {
-            *rel = rel.gather_selected(sel);
+}
+
+/// The gather half of a program run: overwrites each listed slot of
+/// `rels` with its surviving rows, as the last [`semijoin_select`] over
+/// the same `rels` left them in `scratch`. Only slots that lost rows are
+/// rewritten; slots not listed keep their input state, so a caller that
+/// needs a few reduced relations pays for those alone.
+///
+/// # Panics
+///
+/// Panics if a slot is out of range.
+pub fn semijoin_gather(
+    rels: &mut [Relation],
+    slots: impl IntoIterator<Item = usize>,
+    scratch: &ExecScratch,
+) {
+    for slot in slots {
+        let sel = &scratch.sel[slot];
+        if sel.len() < rels[slot].len() {
+            rels[slot] = rels[slot].gather_selected(sel);
         }
     }
 }

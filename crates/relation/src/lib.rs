@@ -17,7 +17,9 @@
 //!   satisfaction `I ⊨ ⋈D`;
 //! * [`exec`] — precompiled semijoin steps ([`SemijoinStep`]) and the
 //!   selection-vector [`semijoin_program_with`] executor used by the cached
-//!   full-reducer engine;
+//!   full-reducer engine, in two halves: [`semijoin_select`] runs steps
+//!   over selections alone, [`semijoin_gather`] materializes the slots a
+//!   caller asks for;
 //! * [`kernels`] — the columnar kernel layer: gather projection, the
 //!   chunked branchless [`SelVec::retain`] probe kernel, the
 //!   generation-stamped [`kernels::StampTable`], and packed row sorting.
@@ -51,7 +53,8 @@
 //! **selection vectors** (`u32` survivor indices plus a generation-stamped
 //! bitset). The [`semijoin_program_with`] executor threads one `SelVec` per
 //! relation slot through an entire full-reducer program: no intermediate
-//! relation is materialized and, with its caller-owned
+//! relation is materialized (a caller that reads only some slots gathers
+//! only those) and, with its caller-owned
 //! [`exec::ExecScratch`] kept across calls, no step allocates after
 //! warm-up. Every step, whatever its key width, filters through the one
 //! kernel [`SelVec::retain`], in fixed-size chunks with branchless mask
@@ -88,7 +91,9 @@ pub mod relation;
 pub mod universal;
 
 pub use database::DbState;
-pub use exec::{semijoin_program_with, ExecScratch, SemijoinStep};
+pub use exec::{
+    semijoin_gather, semijoin_program_with, semijoin_select, ExecScratch, SemijoinStep,
+};
 pub use kernels::{ColumnarView, SelVec};
 pub use relation::Relation;
 pub use universal::{join_of_projections, satisfies_jd};

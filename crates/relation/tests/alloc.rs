@@ -2,7 +2,9 @@
 //! run, executing a whole semijoin program must perform **zero heap
 //! allocation per step** — the SelVecs, the stamp table, the hash-set
 //! fallbacks, and the wide-key spine are all reused from the
-//! [`ExecScratch`], and key columns are cached on the relations.
+//! [`ExecScratch`], and key columns are cached on the relations. The
+//! select half alone allocates nothing even when rows drop, and a partial
+//! gather materializes only the slots it lists.
 //!
 //! The file installs a counting global allocator, so it contains exactly
 //! one `#[test]` (parallel tests would pollute the counter).
@@ -10,7 +12,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gyo_relation::{semijoin_program_with, ExecScratch, Relation, SemijoinStep};
+use gyo_relation::{
+    semijoin_gather, semijoin_program_with, semijoin_select, ExecScratch, Relation, SemijoinStep,
+};
 use gyo_schema::AttrSet;
 
 struct CountingAlloc;
@@ -138,10 +142,7 @@ fn warm_program_steps_allocate_nothing() {
         // only the end-of-run materialization of *changed* slots allocates
         // (a handful of allocations per slot, independent of step count).
         let mut noisy = reference.clone();
-        let arity0 = schemas[0].len();
-        let mut data = noisy[0].data().to_vec();
-        data.extend((0..arity0).map(|c| 1_000_000 + c as u64)); // dangling row
-        noisy[0] = Relation::from_row_major(schemas[0].clone(), noisy[0].len() + 1, data);
+        noisy[0] = with_dangler(&noisy[0]);
         let mut run = noisy.clone();
         semijoin_program_with(&mut run, &steps, &mut scratch); // warm at this shape
         let mut run = noisy.clone();
@@ -155,5 +156,47 @@ fn warm_program_steps_allocate_nothing() {
              changed slot, got {} allocations",
             after - before
         );
+
+        // The select half alone moves no tuple, so it allocates nothing
+        // even when steps drop rows.
+        let before = allocs();
+        semijoin_select(&noisy, &steps, &mut scratch);
+        let after = allocs();
+        assert_eq!(
+            after - before,
+            0,
+            "{label}: a warm select-only run must not allocate (steps: {})",
+            steps.len()
+        );
+
+        // With danglers at both ends of the chain, two slots lose rows; a
+        // gather of one of them materializes that one alone.
+        let last = schemas.len() - 1;
+        noisy[last] = with_dangler(&noisy[last]);
+        semijoin_select(&noisy, &steps, &mut scratch); // warm at this shape
+        let mut run = noisy.clone();
+        let before = allocs();
+        semijoin_gather(&mut run, [0], &scratch);
+        let after = allocs();
+        assert_eq!(run[0], reference[0], "{label}: slot 0 gathered");
+        assert_eq!(
+            run[last], noisy[last],
+            "{label}: slot {last} left as it was"
+        );
+        assert!(
+            after - before <= 4,
+            "{label}: a one-slot gather materializes one slot, got {} allocations",
+            after - before
+        );
+        semijoin_gather(&mut run, [last], &scratch);
+        assert_eq!(run, reference, "{label}: both slots gathered");
     }
+}
+
+/// `rel` plus one row whose values occur nowhere else, so any semijoin
+/// step into it drops that row.
+fn with_dangler(rel: &Relation) -> Relation {
+    let mut data = rel.data().to_vec();
+    data.extend((0..rel.arity()).map(|c| 1_000_000 + c as u64));
+    Relation::from_row_major(rel.attrs().clone(), rel.len() + 1, data)
 }

@@ -31,7 +31,7 @@ use gyo_workloads::{
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// One engine instance for the whole suite: reusing it across cases is the
 /// point (plan-cache hits must not change any answer).
@@ -68,9 +68,20 @@ fn naive_is_tractable(d: &DbSchema) -> bool {
     d.connected_components().len() <= 3
 }
 
-/// The core differential check: reduced states and answers of all four
-/// engines on `(d, state, x)`.
-fn check_engines(label: &str, d: &DbSchema, state: &DbState, x: &AttrSet) {
+/// A seeded target of 0–3 attributes drawn from `U(D)` (repeats collapse,
+/// so fewer is possible). On chains the span target makes `CC(D, X)` the
+/// whole schema; these targets let the engines' answer paths skip parts of
+/// the join tree.
+fn random_target(d: &DbSchema, seed: u64) -> AttrSet {
+    let u = d.attributes();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x7A26_E75E);
+    let k = rng.random_range(0..4usize);
+    AttrSet::from_iter((0..k).map(|_| u.as_slice()[rng.random_range(0..u.len())]))
+}
+
+/// The core differential check: reduced states of all four engines on
+/// `(d, state)`, and their answers to each target in `xs`.
+fn check_engines(label: &str, d: &DbSchema, state: &DbState, xs: &[AttrSet]) {
     let naive = NaiveEngine;
     let incremental = IncrementalEngine;
     let cached = cached_engine();
@@ -146,38 +157,46 @@ fn check_engines(label: &str, d: &DbSchema, state: &DbState, x: &AttrSet) {
         .rels()
         .iter()
         .fold(gyo::Relation::identity(), |acc, r| acc.natural_join(r));
-    let expected = if joined.is_empty() {
-        gyo::Relation::empty(x.clone())
-    } else {
-        joined.project(x)
-    };
-    assert_eq!(
-        naive.answer(d, state, x).expect("naive answers everything"),
-        expected,
-        "{label}: naive answer"
-    );
-    let i_ans = incremental.answer(d, state, x);
-    let c_ans = cached.answer(d, state, x);
-    assert_eq!(i_ans.is_ok(), tree, "{label}: incremental answers iff tree");
-    assert_eq!(c_ans.is_ok(), tree, "{label}: cached answers iff tree");
-    if tree {
-        assert_eq!(i_ans.unwrap(), expected, "{label}: incremental answer");
-        assert_eq!(c_ans.unwrap(), expected, "{label}: cached answer");
+    for x in xs {
+        let expected = if joined.is_empty() {
+            gyo::Relation::empty(x.clone())
+        } else {
+            joined.project(x)
+        };
+        assert_eq!(
+            naive.answer(d, state, x).expect("naive answers everything"),
+            expected,
+            "{label}: naive answer to {x:?}"
+        );
+        let i_ans = incremental.answer(d, state, x);
+        let c_ans = cached.answer(d, state, x);
+        assert_eq!(i_ans.is_ok(), tree, "{label}: incremental answers iff tree");
+        assert_eq!(c_ans.is_ok(), tree, "{label}: cached answers iff tree");
+        if tree {
+            assert_eq!(
+                i_ans.unwrap(),
+                expected,
+                "{label}: incremental answer to {x:?}"
+            );
+            assert_eq!(c_ans.unwrap(), expected, "{label}: cached answer to {x:?}");
+        }
+        assert_eq!(
+            treeify
+                .answer(d, state, x)
+                .expect("treeify answers everything"),
+            expected,
+            "{label}: treeify answer to {x:?}"
+        );
     }
-    assert_eq!(
-        treeify
-            .answer(d, state, x)
-            .expect("treeify answers everything"),
-        expected,
-        "{label}: treeify answer"
-    );
 }
 
+/// One family case: a seeded state, answered for the span target and a
+/// seeded random target.
 fn run_family(label: &str, d: &DbSchema, seed: u64, rows: usize, domain: u64, noise: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let state = family_state(&mut rng, d, rows, domain, noise);
-    let x = span_target(d);
-    check_engines(label, d, &state, &x);
+    let xs = [span_target(d), random_target(d, seed)];
+    check_engines(label, d, &state, &xs);
 }
 
 proptest! {
@@ -308,8 +327,7 @@ fn parity_instance_has_an_empty_core_join() {
             .map(|k| Relation::new(d.rel(k).clone(), vec![vec![lo, hi], vec![hi, lo]]))
             .collect();
         let state = DbState::new(&d, rels);
-        let x = span_target(&d);
-        check_engines("parity", &d, &state, &x);
+        check_engines("parity", &d, &state, &[span_target(&d)]);
         let reduced = treeify_engine().reduce(&d, &state).unwrap();
         assert!(reduced.rels().iter().all(Relation::is_empty), "{lo}/{hi}");
     }
@@ -355,6 +373,74 @@ proptest! {
             cached_engine().answer(&d, &rebuilt, &x).unwrap(),
             NaiveEngine.answer(&d, &state, &x).unwrap()
         );
+    }
+}
+
+/// The shapes of the answer path's read set, each checked on every engine
+/// against the definitional answer: `top` below the root (a chain target
+/// in the far half — the join tree is rooted at the first relation), `X`
+/// empty, `X` inside one relation, `X` across the two components of a
+/// disconnected tree schema (their join-tree edge has an empty key), and
+/// the same targets over a cyclic schema and its extended tree.
+#[test]
+fn read_set_shapes_agree() {
+    let mut cat = Catalog::alphabetic();
+    for (s, targets) in [
+        (
+            "ab, bc, cd, de, ef, fg, gh, hi",
+            &["fh", "gi", "hi", "", "cd", "d"][..],
+        ),
+        ("ab, bc, xy, yz", &["az", "bx", "a", "", "xz"][..]),
+        ("abc, cde, ace, afe, fg", &["bg", "g", "", "ae"][..]),
+        (
+            "ab, bc, cd, da, ax, cy",
+            &["xy", "x", "", "ab", "bc", "xb"][..],
+        ),
+    ] {
+        let d = DbSchema::parse(s, &mut cat).expect("valid schema");
+        let xs: Vec<AttrSet> = targets
+            .iter()
+            .map(|x| AttrSet::parse(x, &mut cat).expect("valid target"))
+            .collect();
+        for seed in 0..6 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dense = seed % 2 == 0;
+            let (rows, domain) = if dense { (12, 3) } else { (10, 24) };
+            let state = family_state(&mut rng, &d, rows, domain, 4);
+            check_engines(s, &d, &state, &xs);
+        }
+    }
+}
+
+#[test]
+fn reduce_that_empties_everything_answers_empty() {
+    // b-values of ab and bc never meet: the reduce empties every relation,
+    // so every target — including ∅, whose answer would otherwise be {()} —
+    // answers empty, on the tree and on the ring alike.
+    let mut cat = Catalog::alphabetic();
+    for s in ["ab, bc, cd, de, xy", "ab, bc, cd, da"] {
+        let d = DbSchema::parse(s, &mut cat).expect("valid schema");
+        let rels = d
+            .iter()
+            .enumerate()
+            .map(|(k, r)| {
+                let v = if k == 0 { 1 } else { 2 };
+                Relation::new(r.clone(), vec![vec![v; r.len()]])
+            })
+            .collect();
+        let state = DbState::new(&d, rels);
+        let xs: Vec<AttrSet> = ["", "a", "de", "ad", "c"]
+            .iter()
+            .map(|x| AttrSet::parse(x, &mut cat).expect("valid target"))
+            .filter(|x| x.is_subset(&d.attributes()))
+            .collect();
+        check_engines(s, &d, &state, &xs);
+        for x in &xs {
+            assert!(
+                treeify_engine().answer(&d, &state, x).unwrap().is_empty(),
+                "{s}: {x:?}"
+            );
+        }
     }
 }
 
